@@ -3,10 +3,14 @@
 //! Measures `BatchPlant::step_interval` advancing eight scenarios per
 //! instruction stream against the per-scenario scalar loop (eight independent
 //! `PhysicalPlant`s stepped back to back — what `ScenarioSweep` does per
-//! worker thread without lanes). Besides the per-case criterion numbers it
-//! prints total integrator micro-steps per second for both engines and the
-//! batched-over-scalar speedup; the repo's acceptance bar is ≥ 2× at eight
-//! lanes, asserted as a floor in the full (non `--test`) run.
+//! worker thread without lanes). Three lane mixes are timed: every lane on
+//! one (fan, ambient) key, lanes split across the paper's two ambients, and
+//! lanes spread over all four fan levels — the batches a lane-compacting
+//! sweep forms at grid-block boundaries. Besides the per-case criterion
+//! numbers it prints total integrator micro-steps per second for both
+//! engines in each mix and the batched-over-scalar speedups. Asserted in the
+//! full (non `--test`) run: the uniform speedup floor, and mixed-fan batches
+//! no slower than the scalar engine on the same inputs.
 //!
 //! The measured numbers are also written to `BENCH_sweep_step.json` at the
 //! workspace root so sweeps of the bench can be tracked over time.
@@ -40,6 +44,47 @@ fn busy_demand() -> Demand {
     }
 }
 
+/// A lane mix: each lane's fan level and ambient for the whole run.
+struct Mix {
+    name: &'static str,
+    fan: fn(usize) -> FanLevel,
+    ambient_c: fn(usize) -> f64,
+}
+
+const MIXES: [Mix; 3] = [
+    Mix {
+        name: "uniform",
+        fan: |_| FanLevel::Off,
+        ambient_c: |_| 28.0,
+    },
+    Mix {
+        name: "mixed_ambient",
+        fan: |_| FanLevel::Off,
+        ambient_c: |lane| if lane % 2 == 0 { 24.0 } else { 32.0 },
+    },
+    Mix {
+        name: "mixed_fan",
+        fan: |lane| match lane % 4 {
+            0 => FanLevel::Off,
+            1 => FanLevel::Base,
+            2 => FanLevel::Half,
+            _ => FanLevel::Full,
+        },
+        ambient_c: |_| 28.0,
+    },
+];
+
+impl Mix {
+    fn inputs<'a>(&self, state: &'a PlatformState, demand: &'a Demand) -> [LaneInput<'a>; LANES] {
+        std::array::from_fn(|lane| LaneInput {
+            state: black_box(state),
+            demand: black_box(demand),
+            fan_level: (self.fan)(lane),
+            ambient_c: (self.ambient_c)(lane),
+        })
+    }
+}
+
 fn bench_sweep_step(c: &mut Criterion) {
     let spec = SocSpec::odroid_xu_e();
     let demand = busy_demand();
@@ -47,18 +92,19 @@ fn bench_sweep_step(c: &mut Criterion) {
     let params = [PlantPowerParams::default(); LANES];
 
     let mut group = c.benchmark_group("sweep_step/8_scenarios_100ms");
-    let mut batched = BatchPlant::new(spec.clone(), &params);
-    group.bench_function("batched", |b| {
-        b.iter(|| {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state: black_box(&state),
-                demand: black_box(&demand),
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(batched.step_interval(&inputs, CONTROL_PERIOD_S).unwrap())
-        })
-    });
+    for mix in &MIXES {
+        let name = match mix.name {
+            "uniform" => "batched".to_string(),
+            other => format!("batched_{other}"),
+        };
+        let mut batched = BatchPlant::new(spec.clone(), &params);
+        group.bench_function(&name, |b| {
+            b.iter(|| {
+                let inputs = mix.inputs(&state, &demand);
+                black_box(batched.step_interval(&inputs, CONTROL_PERIOD_S).unwrap())
+            })
+        });
+    }
     let mut scalars: Vec<PhysicalPlant> = params
         .iter()
         .map(|p| PhysicalPlant::new(spec.clone(), *p))
@@ -85,74 +131,114 @@ fn bench_sweep_step(c: &mut Criterion) {
     report_steps_per_second(&spec, &state, &demand);
 }
 
-/// Times both engines over the same simulated horizon and prints lane
-/// micro-steps/sec plus the speedup factor; asserts the acceptance floor.
+/// One mix's measured lane micro-steps/sec for both engines.
+struct MixRate {
+    batched_sps: f64,
+    scalar_sps: f64,
+}
+
+/// Times both engines on every lane mix over the same simulated horizon and
+/// prints lane micro-steps/sec plus the speedup factors; asserts the
+/// acceptance floors.
 fn report_steps_per_second(spec: &SocSpec, state: &PlatformState, demand: &Demand) {
     let test_mode = std::env::args().any(|a| a == "--test");
     let intervals: usize = if test_mode { 20 } else { 2_000 };
     let passes: usize = if test_mode { 1 } else { 8 };
     let params = [PlantPowerParams::default(); LANES];
 
-    // Best-of-N wall-clock per engine, with the two engines' passes
-    // interleaved: the minimum is the least-interference estimate on a shared
-    // machine, and alternating passes keeps frequency drift from landing on
-    // one engine only (the simulated trajectory is identical in every pass).
-    let mut batched = BatchPlant::new(spec.clone(), &params);
-    let mut scalars: Vec<PhysicalPlant> = params
+    // Best-of-N wall-clock per engine and mix, with every pass interleaved:
+    // the minimum is the least-interference estimate on a shared machine,
+    // and alternating passes keeps frequency drift from landing on one
+    // engine or mix only (the simulated trajectory is identical in every
+    // pass).
+    let mut batched: Vec<BatchPlant> = MIXES
         .iter()
-        .map(|p| PhysicalPlant::new(spec.clone(), *p))
+        .map(|_| BatchPlant::new(spec.clone(), &params))
         .collect();
-    let mut batched_elapsed = std::time::Duration::MAX;
-    let mut scalar_elapsed = std::time::Duration::MAX;
+    let mut scalars: Vec<Vec<PhysicalPlant>> = MIXES
+        .iter()
+        .map(|_| {
+            params
+                .iter()
+                .map(|p| PhysicalPlant::new(spec.clone(), *p))
+                .collect()
+        })
+        .collect();
+    let mut batched_elapsed = [std::time::Duration::MAX; MIXES.len()];
+    let mut scalar_elapsed = [std::time::Duration::MAX; MIXES.len()];
     for _ in 0..passes {
-        let start = Instant::now();
-        for _ in 0..intervals {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state,
-                demand,
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(batched.step_interval(&inputs, CONTROL_PERIOD_S).unwrap());
-        }
-        batched_elapsed = batched_elapsed.min(start.elapsed());
-
-        let start = Instant::now();
-        for _ in 0..intervals {
-            for plant in &mut scalars {
-                black_box(
-                    plant
-                        .step_interval(state, demand, FanLevel::Off, 28.0, CONTROL_PERIOD_S)
-                        .unwrap(),
-                );
+        for (m, mix) in MIXES.iter().enumerate() {
+            let start = Instant::now();
+            for _ in 0..intervals {
+                let inputs = mix.inputs(state, demand);
+                black_box(batched[m].step_interval(&inputs, CONTROL_PERIOD_S).unwrap());
             }
+            batched_elapsed[m] = batched_elapsed[m].min(start.elapsed());
+
+            let start = Instant::now();
+            for _ in 0..intervals {
+                for (lane, plant) in scalars[m].iter_mut().enumerate() {
+                    black_box(
+                        plant
+                            .step_interval(
+                                state,
+                                demand,
+                                (mix.fan)(lane),
+                                (mix.ambient_c)(lane),
+                                CONTROL_PERIOD_S,
+                            )
+                            .unwrap(),
+                    );
+                }
+            }
+            scalar_elapsed[m] = scalar_elapsed[m].min(start.elapsed());
         }
-        scalar_elapsed = scalar_elapsed.min(start.elapsed());
     }
 
     // Both engines advanced LANES scenarios for `intervals` control
     // intervals; count lane micro-steps.
     let micro_steps = (intervals * LANES) as f64 * MICRO_STEPS_PER_INTERVAL;
-    let batched_sps = micro_steps / batched_elapsed.as_secs_f64();
-    let scalar_sps = micro_steps / scalar_elapsed.as_secs_f64();
-    let speedup = batched_sps / scalar_sps;
-    println!(
-        "sweep_step/lane_steps_per_sec/batched    {batched_sps:>14.0} steps/s ({LANES} lanes)"
-    );
-    println!("sweep_step/lane_steps_per_sec/scalar     {scalar_sps:>14.0} steps/s");
+    let rates: Vec<MixRate> = (0..MIXES.len())
+        .map(|m| MixRate {
+            batched_sps: micro_steps / batched_elapsed[m].as_secs_f64(),
+            scalar_sps: micro_steps / scalar_elapsed[m].as_secs_f64(),
+        })
+        .collect();
+    let uniform = &rates[0];
+    let speedup = uniform.batched_sps / uniform.scalar_sps;
+    for (mix, rate) in MIXES.iter().zip(&rates) {
+        let name = format!("{}/batched", mix.name);
+        println!(
+            "sweep_step/lane_steps_per_sec/{name:<22} {:>14.0} steps/s ({LANES} lanes, {:.2}x uniform cost)",
+            rate.batched_sps,
+            uniform.batched_sps / rate.batched_sps
+        );
+        let name = format!("{}/scalar", mix.name);
+        println!(
+            "sweep_step/lane_steps_per_sec/{name:<22} {:>14.0} steps/s",
+            rate.scalar_sps
+        );
+    }
     println!(
         "sweep_step/speedup_vs_scalar             {speedup:>14.2}x (acceptance floor: >= {SPEEDUP_FLOOR}x)"
     );
+    let mixed_fan = &rates[2];
+    let mixed_fan_speedup = mixed_fan.batched_sps / mixed_fan.scalar_sps;
+    println!(
+        "sweep_step/mixed_fan_speedup_vs_scalar   {mixed_fan_speedup:>14.2}x (acceptance floor: >= 1x)"
+    );
 
     // Cross-check the engines while we have them side by side: after the
-    // same simulated horizon every lane must match its scalar twin far below
-    // any physically meaningful scale.
+    // same simulated horizon every lane of every mix must match its scalar
+    // twin far below any physically meaningful scale.
     let mut worst = 0.0f64;
-    let mut lane_temps = vec![0.0; batched.node_count()];
-    for (lane, plant) in scalars.iter().enumerate() {
-        batched.node_temps_into(lane, &mut lane_temps);
-        for (a, b) in lane_temps.iter().zip(plant.node_temps_c().iter()) {
-            worst = worst.max((a - b).abs());
+    let mut lane_temps = vec![0.0; batched[0].node_count()];
+    for (batch, twins) in batched.iter().zip(&scalars) {
+        for (lane, plant) in twins.iter().enumerate() {
+            batch.node_temps_into(lane, &mut lane_temps);
+            for (a, b) in lane_temps.iter().zip(plant.node_temps_c().iter()) {
+                worst = worst.max((a - b).abs());
+            }
         }
     }
     println!("sweep_step/max_lane_divergence_degc      {worst:>14.2e}");
@@ -162,25 +248,47 @@ fn report_steps_per_second(spec: &SocSpec, state: &PlatformState, demand: &Deman
     );
 
     if !test_mode {
-        write_bench_json(batched_sps, scalar_sps, speedup, worst);
-        // Regression guard: asserted only on the full run — the --test smoke
-        // run is too short to measure meaningfully.
+        write_bench_json(&rates, worst);
+        // Regression guards: asserted only on the full run — the --test
+        // smoke run is too short to measure meaningfully.
         assert!(
             speedup >= SPEEDUP_FLOOR,
             "batched engine regressed to {speedup:.2}x over the scalar per-scenario loop \
              (floor: {SPEEDUP_FLOOR}x)"
         );
+        assert!(
+            mixed_fan_speedup >= 1.0,
+            "mixed-fan batches regressed to {mixed_fan_speedup:.2}x of the scalar engine \
+             on the same inputs (floor: 1x)"
+        );
     }
 }
 
 /// Records the measured numbers for tracking (`BENCH_sweep_step.json`).
-fn write_bench_json(batched_sps: f64, scalar_sps: f64, speedup: f64, divergence_c: f64) {
-    let json = format!(
+fn write_bench_json(rates: &[MixRate], divergence_c: f64) {
+    let uniform = &rates[0];
+    let mut json = format!(
         "{{\n  \"bench\": \"sweep_step\",\n  \"lanes\": {LANES},\n  \
-         \"batched_lane_steps_per_sec\": {batched_sps:.0},\n  \
-         \"scalar_lane_steps_per_sec\": {scalar_sps:.0},\n  \
-         \"speedup_vs_scalar\": {speedup:.3},\n  \
-         \"max_lane_divergence_degc\": {divergence_c:.3e},\n  \
+         \"batched_lane_steps_per_sec\": {:.0},\n  \
+         \"scalar_lane_steps_per_sec\": {:.0},\n  \
+         \"speedup_vs_scalar\": {:.3},\n",
+        uniform.batched_sps,
+        uniform.scalar_sps,
+        uniform.batched_sps / uniform.scalar_sps
+    );
+    for (mix, rate) in MIXES.iter().zip(rates).skip(1) {
+        let name = mix.name;
+        json += &format!(
+            "  \"{name}_batched_lane_steps_per_sec\": {:.0},\n  \
+             \"{name}_scalar_lane_steps_per_sec\": {:.0},\n  \
+             \"{name}_cost_vs_uniform\": {:.3},\n",
+            rate.batched_sps,
+            rate.scalar_sps,
+            uniform.batched_sps / rate.batched_sps
+        );
+    }
+    json += &format!(
+        "  \"max_lane_divergence_degc\": {divergence_c:.3e},\n  \
          \"floor\": {SPEEDUP_FLOOR}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep_step.json");

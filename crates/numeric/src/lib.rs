@@ -121,8 +121,9 @@ pub use lstsq::{lstsq, ridge_lstsq};
 pub use matrix::{Matrix, Vector};
 pub use panel::{
     affine_pair_apply, affine_pair_apply_elem, affine_pair_apply_elem_with, affine_pair_apply_with,
-    affine_panel_bias_apply_elem, affine_panel_bias_apply_elem_with, mul_panel_into_elem,
-    mul_panel_into_elem_with, Panel, PanelF32, PanelT, LANE_CHUNK,
+    affine_panel_bias_apply, affine_panel_bias_apply_elem, affine_panel_bias_apply_elem_with,
+    gathered_affine_apply, mul_panel_into_elem, mul_panel_into_elem_with, Panel, PanelF32, PanelT,
+    LANE_CHUNK,
 };
 pub use simd::{
     fused_mul_add_span, fused_mul_add_span_elem, fused_mul_add_span_elem_with,

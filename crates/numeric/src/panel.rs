@@ -16,7 +16,8 @@
 //! the remainder lanes and on hosts without a vector unit. Every arm
 //! accumulates each lane in the same per-lane order (`j = 0..n`, `A`-term
 //! before `B`-term), so a lane's result is bit-identical no matter which arm
-//! processed it or how many lanes surround it.
+//! processed it or how many lanes surround it. [`gathered_affine_apply`]
+//! keeps that order when every lane brings its own matrices.
 //!
 //! # Example
 //!
@@ -531,34 +532,86 @@ pub fn affine_panel_bias_apply_elem_with<E: Elem>(
     y: &PanelT<E>,
     out: &mut PanelT<E>,
 ) -> Result<(), NumericError> {
-    if a.rows != b.rows || a.lanes != b.lanes {
+    affine_panel_bias_kernel(
+        kernel,
+        (a.as_slice(), a.rows, a.lanes),
+        (b.as_slice(), b.rows, b.lanes),
+        bias,
+        x,
+        y,
+        out,
+    )
+}
+
+/// The [`Matrix`]-fronted f64 form of [`affine_panel_bias_apply_elem`]:
+/// `out = bias + a·x + b·y` with a per-lane `m × lanes` bias panel, under the
+/// same accumulation-order contract as [`affine_pair_apply`]. This is the
+/// batched plant's transition apply: the bias panel carries each lane's own
+/// ambient drive, so lanes that share `a`/`b` but not their ambient still
+/// advance in one blocked pass.
+///
+/// # Errors
+///
+/// As for [`affine_panel_bias_apply_elem`].
+pub fn affine_panel_bias_apply(
+    a: &Matrix,
+    b: &Matrix,
+    bias: &Panel,
+    x: &Panel,
+    y: &Panel,
+    out: &mut Panel,
+) -> Result<(), NumericError> {
+    affine_panel_bias_kernel(
+        PanelKernel::active(),
+        (a.as_slice(), a.rows(), a.cols()),
+        (b.as_slice(), b.rows(), b.cols()),
+        bias,
+        x,
+        y,
+        out,
+    )
+}
+
+/// Shape checks and dispatch shared by [`affine_panel_bias_apply`] and
+/// [`affine_panel_bias_apply_elem_with`]; `a` and `b` are row-major
+/// `(data, rows, cols)` matrices.
+fn affine_panel_bias_kernel<E: Elem>(
+    kernel: PanelKernel,
+    (a_data, a_rows, a_cols): (&[E], usize, usize),
+    (b_data, b_rows, b_cols): (&[E], usize, usize),
+    bias: &PanelT<E>,
+    x: &PanelT<E>,
+    y: &PanelT<E>,
+    out: &mut PanelT<E>,
+) -> Result<(), NumericError> {
+    if a_rows != b_rows || a_cols != b_cols {
         return Err(NumericError::DimensionMismatch {
             operation: "affine panel pair",
-            left: (a.rows, a.lanes),
-            right: (b.rows, b.lanes),
+            left: (a_rows, a_cols),
+            right: (b_rows, b_cols),
         });
     }
-    if a.lanes != x.rows || x.rows != y.rows || x.lanes != y.lanes {
+    if a_cols != x.rows || x.rows != y.rows || x.lanes != y.lanes {
         return Err(NumericError::DimensionMismatch {
             operation: "affine panel inputs",
-            left: (a.lanes, x.lanes),
+            left: (a_cols, x.lanes),
             right: (y.rows, y.lanes),
         });
     }
-    if bias.rows != a.rows || bias.lanes != x.lanes || out.rows != a.rows || out.lanes != x.lanes {
+    if bias.rows != a_rows || bias.lanes != x.lanes || out.rows != a_rows || out.lanes != x.lanes {
         return Err(NumericError::DimensionMismatch {
             operation: "affine panel bias/output",
-            left: (a.rows, x.lanes),
+            left: (a_rows, x.lanes),
             right: (out.rows, out.lanes),
         });
     }
-    let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
+    let (m, n, lanes) = (a_rows, a_cols, x.lanes);
     let kernel = if kernel.is_available() {
         kernel
     } else {
         PanelKernel::Scalar
     };
-    let (a_data, b_data, bias_data) = (a.as_slice(), b.as_slice(), bias.as_slice());
+    let bias_data = bias.as_slice();
     let (x_data, y_data) = (x.as_slice(), y.as_slice());
     let out = &mut out.data;
     let full = lanes - lanes % LANE_CHUNK;
@@ -623,6 +676,118 @@ pub fn affine_panel_bias_apply_elem_with<E: Elem>(
         }
     }
     Ok(())
+}
+
+/// Gathered-coefficient affine panel step: every lane brings its own
+/// matrices. For each output row `i` and lane `l`,
+///
+/// ```text
+/// out[i][l] = bias[i][l] + Σ_j r[i·n + j][l] · x[j][l] + s[i·n + j][l] · y[j][l]
+/// ```
+///
+/// where `r` and `s` are `(m·n) × lanes` panels holding, in column `l`, lane
+/// `l`'s row-major `m × n` matrices. This is the batched plant's transition
+/// apply when lanes need different matrices (e.g. mixed fan levels): the
+/// coefficients are gathered into panels once when the lane→transition map
+/// changes, so every micro-step still runs at unit stride across lanes.
+///
+/// Lanes are processed in fixed [`LANE_CHUNK`]-wide chunks with register
+/// accumulators over `j`, through the same [`Elem::madd2`] step as the other
+/// panel kernels: per lane the order is `bias`, then for `j = 0..n` the
+/// `r`-term before the `s`-term, so a lane's result is bit-identical to
+/// [`affine_panel_bias_apply`] (and to the scalar transition) given the same
+/// matrices. The loops are portable; the compiler vectorises the fixed-width
+/// chunk body.
+///
+/// # Errors
+///
+/// Returns [`NumericError::DimensionMismatch`] if `x` and `y` differ in
+/// shape, `r`/`s` are not `(bias.rows() · x.rows()) × x.lanes()`, or
+/// `bias`/`out` are not `m × x.lanes()`.
+pub fn gathered_affine_apply<E: Elem>(
+    r: &PanelT<E>,
+    s: &PanelT<E>,
+    bias: &PanelT<E>,
+    x: &PanelT<E>,
+    y: &PanelT<E>,
+    out: &mut PanelT<E>,
+) -> Result<(), NumericError> {
+    let (m, n, lanes) = (bias.rows, x.rows, x.lanes);
+    if x.rows != y.rows || x.lanes != y.lanes {
+        return Err(NumericError::DimensionMismatch {
+            operation: "gathered affine inputs",
+            left: (x.rows, x.lanes),
+            right: (y.rows, y.lanes),
+        });
+    }
+    for coef in [r, s] {
+        if coef.rows != m * n || coef.lanes != lanes {
+            return Err(NumericError::DimensionMismatch {
+                operation: "gathered affine coefficients",
+                left: (m * n, lanes),
+                right: (coef.rows, coef.lanes),
+            });
+        }
+    }
+    if bias.lanes != lanes || out.rows != m || out.lanes != lanes {
+        return Err(NumericError::DimensionMismatch {
+            operation: "gathered affine bias/output",
+            left: (m, lanes),
+            right: (out.rows, out.lanes),
+        });
+    }
+    let (r, s, bias, x, y) = (
+        r.as_slice(),
+        s.as_slice(),
+        bias.as_slice(),
+        x.as_slice(),
+        y.as_slice(),
+    );
+    let out = &mut out.data;
+    let mut off = 0;
+    while off + LANE_CHUNK <= lanes {
+        gathered_rows(r, s, bias, x, y, out, m, n, lanes, off, LANE_CHUNK);
+        off += LANE_CHUNK;
+    }
+    if off < lanes {
+        gathered_rows(r, s, bias, x, y, out, m, n, lanes, off, lanes - off);
+    }
+    Ok(())
+}
+
+/// Body of [`gathered_affine_apply`] over lanes `[off, off + width)`
+/// (`width <=` [`LANE_CHUNK`]); called with the literal [`LANE_CHUNK`] for
+/// full chunks so the inner loops get a fixed trip count to vectorise.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gathered_rows<E: Elem>(
+    r: &[E],
+    s: &[E],
+    bias: &[E],
+    x: &[E],
+    y: &[E],
+    out: &mut [E],
+    m: usize,
+    n: usize,
+    lanes: usize,
+    off: usize,
+    width: usize,
+) {
+    for i in 0..m {
+        let row = i * lanes + off;
+        let mut acc = [E::ZERO; LANE_CHUNK];
+        acc[..width].copy_from_slice(&bias[row..row + width]);
+        for j in 0..n {
+            let x_row = &x[j * lanes + off..j * lanes + off + width];
+            let y_row = &y[j * lanes + off..j * lanes + off + width];
+            let k = (i * n + j) * lanes + off;
+            let (r_row, s_row) = (&r[k..k + width], &s[k..k + width]);
+            for q in 0..width {
+                acc[q] = E::madd2(r_row[q], x_row[q], s_row[q], y_row[q], acc[q]);
+            }
+        }
+        out[row..row + width].copy_from_slice(&acc[..width]);
+    }
 }
 
 /// Shared dispatching kernel behind [`Matrix::mul_panel_into`],
@@ -1168,5 +1333,125 @@ mod tests {
         assert!(affine_pair_apply(&a, &b, &[0.0; 2], &x, &y, &mut out).is_err());
         let y_bad = Panel::zeros(3, 3);
         assert!(affine_pair_apply(&a, &b, &[0.0; 3], &x, &y_bad, &mut out).is_err());
+
+        let bias = Panel::zeros(3, 2);
+        assert!(affine_panel_bias_apply(&a, &b, &bias, &x, &y, &mut out).is_ok());
+        assert!(affine_panel_bias_apply(&a, &b, &Panel::zeros(3, 3), &x, &y, &mut out).is_err());
+        let coef = Panel::zeros(9, 2);
+        assert!(gathered_affine_apply(&coef, &coef, &bias, &x, &y, &mut out).is_ok());
+        let short = Panel::zeros(6, 2);
+        assert!(gathered_affine_apply(&short, &coef, &bias, &x, &y, &mut out).is_err());
+        assert!(gathered_affine_apply(&coef, &coef, &bias, &x, &y_bad, &mut out).is_err());
+        assert!(gathered_affine_apply(&coef, &coef, &bias, &x, &y, &mut bad_out).is_err());
+    }
+
+    /// Per-lane `m × n` matrices gathered into an `(m·n) × lanes` panel:
+    /// lane `l`'s matrix is `test_matrix`-like with a lane-dependent seed.
+    fn gathered_panel(m: usize, n: usize, lanes: usize, scale: f64) -> Panel {
+        let mut p = Panel::zeros(m * n, lanes);
+        for lane in 0..lanes {
+            for i in 0..m {
+                for j in 0..n {
+                    let v = ((i * n + j + 7 * lane) as f64).sin() * scale
+                        + if i == j { 0.9 } else { 0.0 };
+                    p.set(i * n + j, lane, v);
+                }
+            }
+        }
+        p
+    }
+
+    fn input_panel(rows: usize, lanes: usize, base: f64, step: f64) -> Panel {
+        let mut p = Panel::zeros(rows, lanes);
+        for lane in 0..lanes {
+            for i in 0..rows {
+                p.set(i, lane, base + ((lane * 3 + i) % 11) as f64 * step);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn gathered_affine_matches_per_lane_scalar_reference_bitwise() {
+        // Ragged widths around LANE_CHUNK, square (the plant's 8×8) and
+        // non-square shapes: every lane must equal the scalar bias-then-j
+        // `madd2` recurrence over its own matrices, to the bit.
+        for (m, n) in [(8, 8), (3, 5)] {
+            for lanes in [1, 3, 8, 9, 17] {
+                let r = gathered_panel(m, n, lanes, 0.2);
+                let s = gathered_panel(m, n, lanes, 0.05);
+                let bias = input_panel(m, lanes, 0.01, 0.003);
+                let x = input_panel(n, lanes, 50.0, 0.37);
+                let y = input_panel(n, lanes, 0.5, 0.011);
+                let mut out = Panel::zeros(m, lanes);
+                gathered_affine_apply(&r, &s, &bias, &x, &y, &mut out).unwrap();
+                for lane in 0..lanes {
+                    for i in 0..m {
+                        let mut acc = bias.get(i, lane);
+                        for j in 0..n {
+                            acc = crate::simd::madd2(
+                                r.get(i * n + j, lane),
+                                x.get(j, lane),
+                                s.get(i * n + j, lane),
+                                y.get(j, lane),
+                                acc,
+                            );
+                        }
+                        assert_eq!(
+                            out.get(i, lane).to_bits(),
+                            acc.to_bits(),
+                            "m={m} n={n} lanes={lanes} lane={lane} row={i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_affine_matches_every_bias_panel_arm_on_shared_matrices() {
+        // With every lane carrying the same matrices, the gathered kernel
+        // must reproduce the shared-matrix bias-panel kernel on every arm
+        // that kernel dispatches to, so a batch can switch between the two
+        // paths from one interval to the next without moving a bit.
+        let n = 8;
+        let a = test_matrix(n, 0.2);
+        let b = test_matrix(n, 0.05);
+        let (a_panel, b_panel) = {
+            let (mut ap, mut bp) = (PanelT::<f64>::zeros(n, n), PanelT::<f64>::zeros(n, n));
+            for i in 0..n {
+                for j in 0..n {
+                    ap.set(i, j, a[(i, j)]);
+                    bp.set(i, j, b[(i, j)]);
+                }
+            }
+            (ap, bp)
+        };
+        for lanes in [1, 3, 8, 9, 17] {
+            let mut r = Panel::zeros(n * n, lanes);
+            let mut s = Panel::zeros(n * n, lanes);
+            for lane in 0..lanes {
+                for k in 0..n * n {
+                    r.set(k, lane, a.as_slice()[k]);
+                    s.set(k, lane, b.as_slice()[k]);
+                }
+            }
+            let bias = input_panel(n, lanes, 0.01, 0.003);
+            let x = input_panel(n, lanes, 50.0, 0.37);
+            let y = input_panel(n, lanes, 0.5, 0.011);
+            let mut gathered = Panel::zeros(n, lanes);
+            gathered_affine_apply(&r, &s, &bias, &x, &y, &mut gathered).unwrap();
+            let mut shared = Panel::zeros(n, lanes);
+            affine_panel_bias_apply(&a, &b, &bias, &x, &y, &mut shared).unwrap();
+            assert_eq!(gathered, shared, "active arm lanes={lanes}");
+            for kernel in [PanelKernel::Scalar, PanelKernel::Avx2Fma, PanelKernel::Neon] {
+                let mut out = Panel::zeros(n, lanes);
+                affine_panel_bias_apply_elem_with(
+                    kernel, &a_panel, &b_panel, &bias, &x, &y, &mut out,
+                )
+                .unwrap();
+                assert_eq!(gathered, out, "{kernel:?} lanes={lanes}");
+            }
+        }
     }
 }

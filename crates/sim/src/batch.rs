@@ -7,11 +7,10 @@
 //! * the temperature and node-power state live in `8 × K` panels (row = node,
 //!   column = scenario), so every per-node quantity is contiguous across
 //!   scenarios and the inner loops run at unit stride;
-//! * the thermal ODE advances through a [`thermal_model::BatchStepTransition`]
-//!   — the precomputed affine RK4 micro-step applied to the whole panel as a
-//!   blocked mat-mat, loading the two 8×8 transition matrices *once* per
-//!   micro-step for all lanes (a scalar sweep re-streams them once per
-//!   scenario);
+//! * the thermal ODE advances through the precomputed affine RK4 micro-step
+//!   `T⁺ = R·T + S_p·p + c` of a [`thermal_model::BatchStepTransition`],
+//!   applied to the whole panel in one blocked pass per micro-step (see
+//!   "Transition apply" below);
 //! * the temperature-dependent leakage currents are evaluated by a
 //!   [`power_model::LeakagePanel`] (anchored exponential, vectorised across
 //!   lanes), and the remaining per-node power assembly is linearised per
@@ -19,9 +18,27 @@
 //!
 //! Control decisions stay strictly per-lane: each lane carries its own
 //! platform state, demand, fan level and ambient. Only the integrator is
-//! batched — lanes whose fan level or ambient diverge fall back to a strided
-//! per-lane transition apply that is bit-identical to the panel path, so
-//! divergence affects speed, never results.
+//! batched.
+//!
+//! # Transition apply
+//!
+//! The ambient enters the thermal ODE only as a constant input, so it moves
+//! the drive `c` and never `R` or `S_p`; only the fan level (which adds a
+//! case-to-ambient conductance) changes the matrices. Each lane's `c` lives
+//! in a per-lane drive panel, and the micro-step takes one of two vectorised
+//! paths:
+//!
+//! * **one fan level across the batch** (uniform and mixed-ambient batches):
+//!   [`thermal_model::BatchStepTransition::apply_panel_bias`] with the shared
+//!   `R`/`S_p`, its accumulators seeded from the drive panel;
+//! * **mixed fan levels**: [`numeric::gathered_affine_apply`] over per-lane
+//!   coefficient panels holding each lane's own `R`/`S_p`.
+//!
+//! The drive and coefficient panels are gathered from the transition cache
+//! only for lanes whose (fan, ambient) key changed. Both paths accumulate
+//! every lane in the same order as the scalar transition, so a lane's
+//! trajectory never depends on its batch mates' keys — divergence affects
+//! speed, never results.
 //!
 //! Trajectories match the scalar [`PhysicalPlant`](crate::PhysicalPlant) to well below 1e-9 °C over
 //! full runs (the integrator is bit-identical; the leakage linearisation and
@@ -96,10 +113,18 @@ pub struct BatchPlant {
     node_leak_row: Vec<usize>,
     transitions: Vec<TransitionEntry>,
     lane_transition: Vec<usize>,
+    /// Per-lane ambient drive `c`; `node_count × lanes`, seeds the
+    /// transition accumulators.
+    drive: Panel,
+    /// Per-lane `R` and `S_p` (row-major `i·n + j` rows); both
+    /// `(node_count²) × lanes`, read only when fan levels are mixed.
+    gathered_r: Panel,
+    gathered_s: Panel,
+    /// The cache index each lane's panel columns were gathered from
+    /// (`usize::MAX` = stale: never gathered, or the cache was cleared).
+    gathered_from: Vec<usize>,
     /// Micro-steps since the leakage anchors were last refreshed.
     steps_since_anchor: usize,
-    /// Per-lane column scratch for the diverged-transition fallback.
-    col_scratch: Vec<f64>,
 }
 
 impl BatchPlant {
@@ -179,8 +204,11 @@ impl BatchPlant {
             node_leak_row,
             transitions: Vec::new(),
             lane_transition: vec![0; lanes],
+            drive: Panel::zeros(node_count, lanes),
+            gathered_r: Panel::zeros(node_count * node_count, lanes),
+            gathered_s: Panel::zeros(node_count * node_count, lanes),
+            gathered_from: vec![usize::MAX; lanes],
             steps_since_anchor: 0,
-            col_scratch: vec![0.0; node_count],
             thermal,
         }
     }
@@ -302,6 +330,29 @@ impl BatchPlant {
         Ok(self.transitions.len() - 1)
     }
 
+    /// Copies each lane's drive, `R` and `S_p` from its cached transition
+    /// into the per-lane panels, for lanes whose cache index changed since
+    /// the last gather.
+    fn gather_lane_transitions(&mut self) {
+        for lane in 0..self.lanes {
+            let index = self.lane_transition[lane];
+            if self.gathered_from[lane] == index {
+                continue;
+            }
+            let transition = &self.transitions[index].transition;
+            for (i, &c) in transition.ambient_drive().iter().enumerate() {
+                self.drive.set(i, lane, c);
+            }
+            let r = transition.r().as_slice();
+            let s = transition.s_power().as_slice();
+            for (k, (&r, &s)) in r.iter().zip(s).enumerate() {
+                self.gathered_r.set(k, lane, r);
+                self.gathered_s.set(k, lane, s);
+            }
+            self.gathered_from[lane] = index;
+        }
+    }
+
     /// Writes lane `lane`'s per-node power linearisation `P = base + coef·I`
     /// for one control interval. The coefficients reproduce the scalar
     /// plant's power computation (same expressions, reassociated at the
@@ -410,9 +461,11 @@ impl BatchPlant {
         // is only safe *between* intervals: during lane setup below,
         // `lane_transition` accumulates live indices into the cache, so a
         // mid-loop clear would dangle them. Within one interval the cache
-        // grows by at most `lanes` entries.
+        // grows by at most `lanes` entries. Cleared indices are reused, so
+        // every lane's gathered panel columns go stale with them.
         if self.transitions.len() >= 32 {
             self.transitions.clear();
+            self.gathered_from.fill(usize::MAX);
         }
 
         // Per-lane interval setup: power linearisation + transition key.
@@ -451,15 +504,17 @@ impl BatchPlant {
             let index = self.ensure_transition(boost, input.ambient_c)?;
             self.lane_transition[lane] = index;
         }
-        let uniform = self
+        self.gather_lane_transitions();
+        let fan_bits = self.transitions[self.lane_transition[0]].fan_bits;
+        let shared_fan = self
             .lane_transition
             .iter()
-            .all(|&i| i == self.lane_transition[0]);
+            .all(|&i| self.transitions[i].fan_bits == fan_bits);
         self.prefill_constant_power_rows();
 
         self.accum.fill(0.0);
         for _ in 0..micro_steps {
-            self.micro_step(uniform);
+            self.micro_step(shared_fan);
         }
 
         let scale = 1.0 / micro_steps as f64;
@@ -502,7 +557,7 @@ impl BatchPlant {
 
     /// One batched micro-step: leakage currents, node-power assembly, domain
     /// accumulation and the panel transition. Allocation-free.
-    fn micro_step(&mut self, uniform: bool) {
+    fn micro_step(&mut self, shared_fan: bool) {
         let lanes = self.lanes;
         let BatchPlant {
             temps,
@@ -519,8 +574,10 @@ impl BatchPlant {
             aligned_leak_rows,
             transitions,
             lane_transition,
+            drive,
+            gathered_r,
+            gathered_s,
             steps_since_anchor,
-            col_scratch,
             thermal,
             ..
         } = self;
@@ -592,16 +649,16 @@ impl BatchPlant {
             }
         }
 
-        // Advance the thermal panel: one blocked mat-mat when every lane
-        // shares the transition, the bit-identical strided fallback otherwise.
-        if uniform {
+        // Advance the thermal panel (see "Transition apply" in the module
+        // docs): shared matrices when every lane has the same fan level,
+        // gathered per-lane matrices otherwise; per-lane drive either way.
+        if shared_fan {
             let transition = &transitions[lane_transition[0]].transition;
-            transition.apply_panel(temps, powers, step_tmp);
+            transition.apply_panel_bias(temps, powers, drive, step_tmp);
         } else {
-            for lane in 0..lanes {
-                let transition = &transitions[lane_transition[lane]].transition;
-                transition.apply_lane(temps, powers, lane, col_scratch);
-            }
+            numeric::gathered_affine_apply(gathered_r, gathered_s, drive, temps, powers, step_tmp)
+                .expect("panel shapes must cover all nodes");
+            std::mem::swap(temps, step_tmp);
         }
     }
 }
@@ -665,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_fan_levels_fall_back_to_per_lane_transitions() {
+    fn mixed_fan_levels_advance_each_lane_with_its_own_transition() {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
         let mut batch = BatchPlant::new(spec.clone(), &[params, params]);

@@ -118,10 +118,14 @@
 //! control loop per scenario against the shared batch plant), so batched and
 //! scalar runs agree: the integrator is bit-identical, and full trajectories
 //! match within 1e-9 °C (proven by `tests/equivalence.rs`). Batched stepping
-//! applies when scenarios share the control period and (mostly) the
-//! fan/ambient transition key; diverging lanes fall back to an equivalent
-//! strided apply. The `sweep_step` Criterion bench pins the batched engine at
-//! ≥ 2× the scalar per-scenario micro-step throughput at eight lanes.
+//! applies when scenarios share the control period; lanes may carry any mix
+//! of fan levels and ambients (mixed-ambient batches share the matrices and
+//! differ only in a per-lane drive panel, mixed-fan batches advance through
+//! gathered per-lane coefficients — see [`batch`]), and a lane's trajectory
+//! is bit-identical whatever its batch mates carry. The `sweep_step`
+//! Criterion bench pins the batched engine at ≥ 2.5× the scalar per-scenario
+//! micro-step throughput at eight lanes, and mixed-fan batches at no slower
+//! than the scalar engine.
 //!
 //! The *decision* side is batched too: each interval the executor stages
 //! every lane's decision up to the thermal classification, then one fused

@@ -15,9 +15,13 @@
 //! below a nano-kelvin per the batched bars here — physically the same
 //! trajectory (sensor quantisation alone is 0.1 °C).
 
+use std::collections::HashSet;
+
+use platform_sim::plant::PlantStep;
 use platform_sim::{
-    run_lockstep, BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind,
-    LaneInput, NaivePhysicalPlant, PhysicalPlant, PlantPowerParams, ScenarioSweep,
+    run_lockstep, splitmix64, BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig,
+    ExperimentKind, LaneInput, NaivePhysicalPlant, PanelEngine, PhysicalPlant, PlantEngine,
+    PlantPowerParams, ScenarioSweep,
 };
 use proptest::prelude::*;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};
@@ -193,8 +197,8 @@ fn lane_state(spec: &SocSpec, lane: usize, i: usize) -> (PlatformState, FanLevel
 fn batch_plant_matches_scalar_trajectories_for_mixed_lane_counts() {
     // Lane counts covering the scalar case, a partial chunk, a full 8-lane
     // chunk and a chunk-plus-remainder; every lane follows its own actuation
-    // schedule (including diverging fan levels, which force the per-lane
-    // strided transition fallback).
+    // schedule (including diverging fan levels, which take the
+    // gathered-coefficient transition apply).
     let spec = SocSpec::odroid_xu_e();
     for lanes in [1usize, 3, 8, 11] {
         let params: Vec<PlantPowerParams> = (0..lanes)
@@ -260,6 +264,215 @@ fn batch_plant_matches_scalar_trajectories_for_mixed_lane_counts() {
             }
         }
     }
+}
+
+const FANS: [FanLevel; 4] = [
+    FanLevel::Off,
+    FanLevel::Base,
+    FanLevel::Half,
+    FanLevel::Full,
+];
+
+/// Draws from a SplitMix64 stream.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(1);
+        (splitmix64(self.0) % n as u64) as usize
+    }
+}
+
+/// A random per-lane (fan level, ambient) schedule, one key per lane per
+/// interval. The run is cut into six-interval epochs, each of one kind: every
+/// lane on one key (a uniform batch), one fan level with per-lane ambients
+/// (the shared-matrix path with a mixed drive panel), or free per-lane fan
+/// levels and ambients (the gathered-coefficient path). Outside uniform
+/// epochs each lane re-draws its key every one to four intervals.
+fn key_schedule(
+    seed: u64,
+    lanes: usize,
+    intervals: usize,
+    ambients: &[f64],
+) -> Vec<Vec<(FanLevel, f64)>> {
+    let mut draws = Draws(seed);
+    let mut keys = vec![(FanLevel::Off, ambients[0]); lanes];
+    let mut next_change = vec![0usize; lanes];
+    let (mut epoch_kind, mut epoch_fan) = (0, FanLevel::Off);
+    let mut schedule = Vec::with_capacity(intervals);
+    for i in 0..intervals {
+        if i % 6 == 0 {
+            epoch_kind = draws.below(3);
+            epoch_fan = FANS[draws.below(FANS.len())];
+            let ambient = ambients[draws.below(ambients.len())];
+            for (lane, key) in keys.iter_mut().enumerate() {
+                *key = (epoch_fan, ambient);
+                next_change[lane] = i;
+            }
+        }
+        if epoch_kind != 0 {
+            for (lane, key) in keys.iter_mut().enumerate() {
+                if next_change[lane] == i {
+                    let fan = if epoch_kind == 1 {
+                        epoch_fan
+                    } else {
+                        FANS[draws.below(FANS.len())]
+                    };
+                    *key = (fan, ambients[draws.below(ambients.len())]);
+                    next_change[lane] = i + 1 + draws.below(4);
+                }
+            }
+        }
+        schedule.push(keys.clone());
+    }
+    schedule
+}
+
+/// The bits of everything a lane reports per interval.
+fn step_bits(step: &PlantStep) -> [u64; 10] {
+    let p = &step.domain_power;
+    let t = &step.core_temps_c;
+    [
+        t[0].to_bits(),
+        t[1].to_bits(),
+        t[2].to_bits(),
+        t[3].to_bits(),
+        p.big_w.to_bits(),
+        p.little_w.to_bits(),
+        p.gpu_w.to_bits(),
+        p.memory_w.to_bits(),
+        step.platform_power_w.to_bits(),
+        step.work_done.to_bits(),
+    ]
+}
+
+/// A key schedule that overflows the 32-entry transition cache every few
+/// intervals: lane 0 holds each key for four intervals while every other
+/// lane takes a fresh ambient each interval, so the cache is cleared on
+/// exactly the intervals lane 0 switches key, and lane 0 then lands on its
+/// old cache index (0) with a different key. Fan levels alternate between
+/// eight-interval stretches shared by every lane and stretches that differ
+/// per lane, so both transition paths meet the clear.
+fn churn_schedule(lanes: usize, intervals: usize) -> Vec<Vec<(FanLevel, f64)>> {
+    (0..intervals)
+        .map(|i| {
+            (0..lanes)
+                .map(|lane| {
+                    let fan = if (i / 8) % 2 == 0 {
+                        FANS[(i / 16) % FANS.len()]
+                    } else {
+                        FANS[(i + lane) % FANS.len()]
+                    };
+                    let draw = if lane == 0 {
+                        i / 4 * lanes
+                    } else {
+                        i * lanes + lane
+                    };
+                    (fan, 20.0 + 0.25 * (draw % 97) as f64)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Steps a `lanes`-wide panel engine and one single-lane panel engine per
+/// lane through `schedule` and asserts every lane matches its single-lane
+/// twin to the bit: per-interval temperatures, domain powers and platform
+/// power, then all node temperatures and the energy. Returns the number of
+/// distinct (fan, ambient) keys the schedule used.
+fn assert_lanes_match_single_lane_runs(schedule: &[Vec<(FanLevel, f64)>]) -> usize {
+    let lanes = schedule[0].len();
+    let spec = SocSpec::odroid_xu_e();
+    let params: Vec<PlantPowerParams> = (0..lanes)
+        .map(|lane| PlantPowerParams {
+            leakage_mismatch: 1.0 + 0.02 * lane as f64,
+            initial_temp_c: 45.0 + lane as f64,
+            ..PlantPowerParams::default()
+        })
+        .collect();
+    let mut batch = PanelEngine::new(spec.clone(), &params);
+    let mut singles: Vec<PanelEngine> = params
+        .iter()
+        .map(|p| PanelEngine::new(spec.clone(), &[*p]))
+        .collect();
+    let (mut batch_steps, mut single_steps) = (Vec::new(), Vec::new());
+    for (i, keys) in schedule.iter().enumerate() {
+        let lane_inputs: Vec<(PlatformState, Demand)> = (0..lanes)
+            .map(|lane| (lane_state(&spec, lane, 7 * i).0, demand_phase(i + lane)))
+            .collect();
+        let inputs: Vec<LaneInput<'_>> = lane_inputs
+            .iter()
+            .zip(keys)
+            .map(|((state, demand), &(fan_level, ambient_c))| LaneInput {
+                state,
+                demand,
+                fan_level,
+                ambient_c,
+            })
+            .collect();
+        batch.step_interval(&inputs, 0.1, &mut batch_steps).unwrap();
+        for (lane, single) in singles.iter_mut().enumerate() {
+            single
+                .step_interval(&inputs[lane..=lane], 0.1, &mut single_steps)
+                .unwrap();
+            let batched = batch_steps[lane].as_ref().expect("lane step succeeds");
+            let alone = single_steps[0].as_ref().expect("lane step succeeds");
+            assert_eq!(
+                step_bits(batched),
+                step_bits(alone),
+                "lanes={lanes} lane={lane} interval={i} keys={keys:?}"
+            );
+        }
+    }
+    let (mut batched, mut alone) = (vec![0.0; batch.node_count()], vec![0.0; batch.node_count()]);
+    for (lane, single) in singles.iter().enumerate() {
+        batch.node_temps_into(lane, &mut batched);
+        single.node_temps_into(0, &mut alone);
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batched), bits(&alone), "lanes={lanes} lane={lane}");
+        assert_eq!(
+            batch.energy_j(lane).to_bits(),
+            single.energy_j(0).to_bits(),
+            "energy lanes={lanes} lane={lane}"
+        );
+    }
+    let distinct: HashSet<(FanLevel, u64)> = schedule
+        .iter()
+        .flatten()
+        .map(|&(fan, ambient)| (fan, ambient.to_bits()))
+        .collect();
+    distinct.len()
+}
+
+proptest! {
+    #[test]
+    fn batched_lanes_match_single_lane_runs_under_random_key_schedules(
+        width in 0usize..5,
+        seed in 0usize..1_000_000,
+    ) {
+        // Every lane of a K-lane batch must be bit-identical to a one-lane
+        // batch fed the same inputs, whatever mix of fan levels and
+        // ambients its batch mates carry: uniform, mixed-ambient and
+        // mixed-fan intervals all take vectorised paths with one per-lane
+        // accumulation order.
+        let lanes = [1, 3, 8, 11, 17][width];
+        assert_lanes_match_single_lane_runs(&key_schedule(seed as u64, lanes, 48, &[24.0, 32.0]));
+    }
+}
+
+#[test]
+fn batched_lanes_stay_bit_identical_across_transition_cache_clears() {
+    // Far more distinct (fan, ambient) keys than the 32-entry transition
+    // cache holds, so it is cleared mid-run and its indices are reused for
+    // other keys; a lane whose gathered coefficients or drive outlived the
+    // clear would step with another key's transition and diverge.
+    for lanes in [17, 11] {
+        let keys = assert_lanes_match_single_lane_runs(&churn_schedule(lanes, 48));
+        assert!(keys > 32, "lanes={lanes}: only {keys} distinct keys");
+    }
+    let ambients: Vec<f64> = (0..40).map(|k| 20.0 + 0.5 * k as f64).collect();
+    let keys = assert_lanes_match_single_lane_runs(&key_schedule(7, 17, 48, &ambients));
+    assert!(keys > 32, "random schedule: only {keys} distinct keys");
 }
 
 #[test]

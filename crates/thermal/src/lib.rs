@@ -54,19 +54,22 @@
 //! [`network::BatchStepTransition`] that advances a `numeric::Panel` of
 //! temperatures — **one scenario per column**, each node row contiguous
 //! across scenarios. One call to
-//! [`network::BatchStepTransition::apply_panel`] is a blocked mat-mat that
-//! streams the two `n × n` matrices through the cache once for *all* lanes,
-//! instead of once per scenario as the scalar
+//! [`network::BatchStepTransition::apply_panel_bias`] is a blocked mat-mat
+//! that streams the two `n × n` matrices through the cache once for *all*
+//! lanes, instead of once per scenario as the scalar
 //! [`network::StepTransition::apply`] loop does.
 //!
-//! Batched stepping applies whenever the lanes share the transition key
-//! (fan boost, ambient, step size); lanes that diverge — different fan
-//! levels mid-sweep — are advanced by the strided
-//! [`network::BatchStepTransition::apply_lane`] fallback, which accumulates
-//! in the same per-lane order and is therefore bit-identical to the panel
-//! path (and to the scalar transition). Scalar stepping remains the right
-//! tool for a single trajectory; the panel pays for itself from a handful of
-//! lanes up.
+//! Lanes need not share the transition key (fan boost, ambient, step size).
+//! The ambient enters the ODE only as a constant input, so it changes the
+//! drive `c` and never `R` or `S_p`: lanes that differ only in ambient share
+//! the matrices and carry their own drive in a per-lane drive panel, the
+//! `drive` argument of `apply_panel_bias`. Lanes with different fan levels
+//! advance through per-lane coefficient panels gathered from the
+//! [`network::BatchStepTransition::r`] / `s_power` / `ambient_drive` views
+//! (`numeric::gathered_affine_apply`). Every form accumulates each lane in
+//! the same order, so all are bit-identical per lane to the panel path (and
+//! to the scalar transition). Scalar stepping remains the right tool for a
+//! single trajectory; the panel pays for itself from a handful of lanes up.
 //!
 //! # Example
 //!

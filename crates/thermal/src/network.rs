@@ -549,9 +549,9 @@ impl ThermalNetwork {
     /// Precomputes the one-micro-step RK4 transition in its
     /// structure-of-arrays batch form: the same affine map as
     /// [`ThermalNetwork::step_transition`], stored row-major so
-    /// [`BatchStepTransition::apply_panel`] can advance a whole temperature
-    /// panel (one scenario per column) with the matrices loaded once per
-    /// micro-step for all lanes.
+    /// [`BatchStepTransition::apply_panel_bias`] can advance a whole
+    /// temperature panel (one scenario per column) with the matrices loaded
+    /// once per micro-step for all lanes.
     ///
     /// # Errors
     ///
@@ -666,14 +666,18 @@ impl StepTransition {
 /// holds one scenario per column
 /// (see [`ThermalNetwork::batch_step_transition`]).
 ///
-/// [`BatchStepTransition::apply_panel`] advances every lane in one blocked
-/// mat-mat pass (`numeric::affine_pair_apply`), so the two 8×8 matrices are
-/// streamed through the cache once per micro-step for *all* scenarios;
-/// [`BatchStepTransition::apply_lane`] advances a single column at stride and
-/// is used when lanes diverge (e.g. different fan levels) within a batch.
-/// Both paths accumulate each lane in the same order as
-/// [`StepTransition::apply`], so a batched lane's trajectory is bit-identical
-/// to the scalar transition given identical power inputs.
+/// [`BatchStepTransition::apply_panel_bias`] advances every lane in one
+/// blocked mat-mat pass (`numeric::affine_panel_bias_apply`), so the two 8×8
+/// matrices are streamed through the cache once per micro-step for *all*
+/// scenarios, while each lane brings its own constant drive: lanes that share
+/// the fan level share `R` and `S_p` whatever their ambients. Lanes with
+/// different fan levels advance through per-lane coefficient panels
+/// (`numeric::gathered_affine_apply`) gathered from the
+/// [`BatchStepTransition::r`] / [`BatchStepTransition::s_power`] /
+/// [`BatchStepTransition::ambient_drive`] views. Every form accumulates each
+/// lane in the same order as [`StepTransition::apply`], so a batched lane's
+/// trajectory is bit-identical to the scalar transition given identical
+/// power inputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchStepTransition {
     n: usize,
@@ -716,62 +720,28 @@ impl BatchStepTransition {
     }
 
     /// Advances every lane of `temps` by one micro-step with the per-lane
-    /// node power injections in `powers`, using `tmp` as scratch (its
-    /// contents are overwritten; after the call `temps` holds the new
-    /// temperatures). Allocation-free.
+    /// node power injections in `powers` and a per-lane drive panel in place
+    /// of [`BatchStepTransition::ambient_drive`]: `T⁺ = drive + R·T + S_p·p`.
+    /// Column `l` of `drive` is lane `l`'s ambient drive — this transition's
+    /// own, or that of any transition with the same fan boost and step size
+    /// (the ambient moves only the drive). `tmp` is overwritten scratch;
+    /// after the call `temps` holds the new temperatures. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if the panels do not all have `node_count` rows and matching
     /// lane counts.
     #[inline]
-    pub fn apply_panel(&self, temps: &mut Panel, powers: &Panel, tmp: &mut Panel) {
-        numeric::affine_pair_apply(
-            &self.r,
-            &self.s_power,
-            &self.ambient_drive,
-            temps,
-            powers,
-            tmp,
-        )
-        .expect("panel shapes must cover all nodes");
+    pub fn apply_panel_bias(
+        &self,
+        temps: &mut Panel,
+        powers: &Panel,
+        drive: &Panel,
+        tmp: &mut Panel,
+    ) {
+        numeric::affine_panel_bias_apply(&self.r, &self.s_power, drive, temps, powers, tmp)
+            .expect("panel shapes must cover all nodes");
         std::mem::swap(temps, tmp);
-    }
-
-    /// Advances only lane `lane` of `temps` by one micro-step — the strided
-    /// fallback for batches whose lanes need different transitions. The
-    /// per-lane accumulation order matches [`BatchStepTransition::apply_panel`]
-    /// exactly, so mixing the two paths never changes a trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not have `node_count` rows, `lane` is out of
-    /// range, or `col` does not cover all nodes.
-    #[inline]
-    pub fn apply_lane(&self, temps: &mut Panel, powers: &Panel, lane: usize, col: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(temps.rows(), n, "temperature panel rows");
-        assert_eq!(powers.rows(), n, "power panel rows");
-        assert_eq!(col.len(), n, "column scratch length");
-        assert!(lane < temps.lanes(), "lane index out of bounds");
-        let r = self.r.as_slice();
-        let s = self.s_power.as_slice();
-        for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = self.ambient_drive[i];
-            for j in 0..n {
-                acc = numeric::simd::madd2(
-                    r[i * n + j],
-                    temps.get(j, lane),
-                    s[i * n + j],
-                    powers.get(j, lane),
-                    acc,
-                );
-            }
-            *slot = acc;
-        }
-        for (i, &v) in col.iter().enumerate() {
-            temps.set(i, lane, v);
-        }
     }
 }
 
@@ -784,9 +754,9 @@ impl BatchStepTransition {
 /// [`BatchStepTransitionF32::from_f64`]. The apply paths then run entirely
 /// at f32 width through the width-generic panel kernels
 /// ([`numeric::affine_pair_apply_elem`]), doubling the lanes advanced per
-/// vector relative to [`BatchStepTransition::apply_panel`]. Like the f64
-/// form, the panel and per-lane paths share one per-lane accumulation
-/// order, so mixing them never changes a trajectory.
+/// vector relative to [`BatchStepTransition::apply_panel_bias`]. The panel
+/// and per-lane paths share one per-lane accumulation order, so mixing them
+/// never changes a trajectory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchStepTransitionF32 {
     n: usize,
@@ -823,8 +793,8 @@ impl BatchStepTransitionF32 {
         self.n
     }
 
-    /// Advances every lane of `temps` by one f32 micro-step (see
-    /// [`BatchStepTransition::apply_panel`]); `tmp` is overwritten scratch.
+    /// Advances every lane of `temps` by one f32 micro-step with the
+    /// transition's own ambient drive; `tmp` is overwritten scratch.
     ///
     /// # Panics
     ///
@@ -1346,9 +1316,10 @@ mod tests {
 
     #[test]
     fn batch_transition_lanes_match_scalar_transition_bitwise() {
-        // Every lane of the panel apply (and the strided per-lane fallback)
-        // must reproduce the scalar StepTransition exactly: the accumulation
-        // order is the same by construction.
+        // Every lane of the drive-panel apply and of the
+        // gathered-coefficient apply (fed from the r / s_power /
+        // ambient_drive views) must reproduce the scalar StepTransition
+        // exactly: the accumulation order is the same by construction.
         let plant = ExynosThermalNetwork::odroid_xu_e();
         let network = plant.network();
         let boost = plant.fan_boost(0.04);
@@ -1361,6 +1332,16 @@ mod tests {
             let mut temps = Panel::zeros(n, lanes);
             let mut powers = Panel::zeros(n, lanes);
             let mut tmp = Panel::zeros(n, lanes);
+            let mut drive = Panel::zeros(n, lanes);
+            let mut gathered_r = Panel::zeros(n * n, lanes);
+            let mut gathered_s = Panel::zeros(n * n, lanes);
+            for lane in 0..lanes {
+                drive.set_column(lane, batch.ambient_drive());
+                for k in 0..n * n {
+                    gathered_r.set(k, lane, batch.r().as_slice()[k]);
+                    gathered_s.set(k, lane, batch.s_power().as_slice()[k]);
+                }
+            }
             let mut scalar_temps: Vec<Vec<f64>> = Vec::new();
             let mut scalar_powers: Vec<Vec<f64>> = Vec::new();
             for lane in 0..lanes {
@@ -1377,11 +1358,18 @@ mod tests {
             let mut scratch = vec![0.0; n];
             for step in 0..200 {
                 if step % 2 == 0 {
-                    batch.apply_panel(&mut temps, &powers, &mut tmp);
+                    batch.apply_panel_bias(&mut temps, &powers, &drive, &mut tmp);
                 } else {
-                    for lane in 0..lanes {
-                        batch.apply_lane(&mut temps, &powers, lane, &mut scratch);
-                    }
+                    numeric::gathered_affine_apply(
+                        &gathered_r,
+                        &gathered_s,
+                        &drive,
+                        &temps,
+                        &powers,
+                        &mut tmp,
+                    )
+                    .unwrap();
+                    std::mem::swap(&mut temps, &mut tmp);
                 }
                 for (lane_temps, lane_powers) in scalar_temps.iter_mut().zip(&scalar_powers) {
                     scalar.apply(lane_temps, lane_powers, &mut scratch);
@@ -1422,7 +1410,9 @@ mod tests {
         let mut powers32 = PanelF32::zeros(n, lanes);
         let mut tmp32 = PanelF32::zeros(n, lanes);
         let mut lane32 = temps32.clone();
+        let mut drive64 = Panel::zeros(n, lanes);
         for lane in 0..lanes {
+            drive64.set_column(lane, batch.ambient_drive());
             for i in 0..n {
                 let t = 45.0 + (lane * n + i) as f64 * 0.31;
                 temps64.set(i, lane, t);
@@ -1437,7 +1427,7 @@ mod tests {
         }
         let mut scratch = vec![0.0f32; n];
         for _ in 0..200 {
-            batch.apply_panel(&mut temps64, &powers64, &mut tmp64);
+            batch.apply_panel_bias(&mut temps64, &powers64, &drive64, &mut tmp64);
             demoted.apply_panel(&mut temps32, &powers32, &mut tmp32);
             for lane in 0..lanes {
                 demoted.apply_lane(&mut lane32, &powers32, lane, &mut scratch);
