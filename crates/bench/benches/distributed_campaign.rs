@@ -146,11 +146,14 @@ fn run_static_split(
                     if which == 0 {
                         std::thread::sleep(stall);
                     }
+                    let mut sink = shard.merge_sink();
                     shard
+                        .spec
                         .runner()
                         .with_threads(1)
                         .with_resilience(resilience())
-                        .run(calibration)
+                        .run_indices_into(&shard.indices(), calibration, &mut sink);
+                    sink
                 })
             })
             .collect();

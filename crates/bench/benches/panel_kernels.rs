@@ -4,12 +4,10 @@
 //! — the single-matrix panel product, the fused affine-pair step and the
 //! anchored leakage span — once through the auto-detected vector arm and once
 //! through forced scalar, at 8 lanes (one chunk, the per-interval shape) and
-//! 32 lanes (the compacted-sweep shape), and at both element widths (the f64
-//! default and the mixed-precision engine's f32 panels). The headline number
-//! is the vector-over-scalar speedup on the 8-lane f64 affine-pair kernel:
-//! on an AVX2 host the acceptance floor is ≥ 1.5×, asserted in the full
-//! (non `--test`) run. Every cell also records its f32-over-f64 ratio so the
-//! per-op width win is tracked alongside the dispatch win.
+//! 32 lanes (the compacted-sweep shape). The headline number is the
+//! vector-over-scalar speedup on the 8-lane affine-pair kernel: on an AVX2
+//! host the acceptance floor is ≥ 1.5×, asserted in the full (non `--test`)
+//! run.
 //!
 //! The measured numbers are also written to `BENCH_panel_kernels.json` at the
 //! workspace root so sweeps of the bench can be tracked over time.
@@ -19,11 +17,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use numeric::simd::PanelKernel;
-use numeric::{
-    affine_pair_apply_elem_with, affine_pair_apply_with, mul_panel_into_elem_with, Matrix, Panel,
-    PanelF32,
-};
-use power_model::{LeakageModel, LeakagePanel, LeakagePanelF32};
+use numeric::{affine_pair_apply_with, Matrix, Panel};
+use power_model::{LeakageModel, LeakagePanel};
 
 /// The paper's plant is an 8-node model; every hot kernel call is 8×8.
 const N: usize = 8;
@@ -112,82 +107,6 @@ impl KernelFixture {
     }
 }
 
-/// The same three op shapes at f32 width (the mixed-precision engine's
-/// panels): matrices live in `PanelF32` form for the width-generic kernels.
-type KernelOp32 = (&'static str, fn(&mut KernelFixture32, PanelKernel));
-
-struct KernelFixture32 {
-    a: PanelF32,
-    b: PanelF32,
-    bias: Vec<f32>,
-    x: PanelF32,
-    y: PanelF32,
-    out: PanelF32,
-    leak: LeakagePanelF32,
-    temps: Vec<f32>,
-    currents: Vec<f32>,
-}
-
-impl KernelFixture32 {
-    fn new(lanes: usize) -> Self {
-        let demote = |m: &Matrix| {
-            let mut p = PanelF32::zeros(N, N);
-            for i in 0..N {
-                for j in 0..N {
-                    p.set(i, j, m[(i, j)] as f32);
-                }
-            }
-            p
-        };
-        let demote_panel = |p64: &Panel| {
-            let mut p = PanelF32::zeros(p64.rows(), p64.lanes());
-            for i in 0..p64.rows() {
-                for l in 0..p64.lanes() {
-                    p.set(i, l, p64.get(i, l) as f32);
-                }
-            }
-            p
-        };
-        let cells = LEAK_ROWS * lanes;
-        KernelFixture32 {
-            a: demote(&test_matrix(0.2)),
-            b: demote(&test_matrix(0.05)),
-            bias: (0..N).map(|i| 0.01 * i as f32).collect(),
-            x: demote_panel(&test_panel(N, lanes, 0.037)),
-            y: demote_panel(&test_panel(N, lanes, 0.011)),
-            out: PanelF32::zeros(N, lanes),
-            leak: LeakagePanelF32::filled(LEAK_ROWS, lanes, &LeakageModel::exynos5410_big(), 52.0),
-            temps: (0..cells).map(|k| 52.0 + 0.002 * k as f32).collect(),
-            currents: vec![0.0; cells],
-        }
-    }
-
-    fn mul_panel(&mut self, kernel: PanelKernel) {
-        mul_panel_into_elem_with(kernel, &self.a, black_box(&self.x), &mut self.out).unwrap();
-        black_box(&self.out);
-    }
-
-    fn affine_pair(&mut self, kernel: PanelKernel) {
-        affine_pair_apply_elem_with(
-            kernel,
-            &self.a,
-            &self.b,
-            &self.bias,
-            black_box(&self.x),
-            black_box(&self.y),
-            &mut self.out,
-        )
-        .unwrap();
-        black_box(&self.out);
-    }
-
-    fn leakage_span(&mut self, kernel: PanelKernel) {
-        self.leak
-            .currents_into_with(kernel, black_box(&self.temps), &mut self.currents);
-        black_box(&self.currents[0]);
-    }
-}
-
 fn bench_panel_kernels(c: &mut Criterion) {
     for lanes in [8usize, 32] {
         let mut group = c.benchmark_group(&format!("panel_kernels/{lanes}_lanes"));
@@ -210,16 +129,6 @@ fn bench_panel_kernels(c: &mut Criterion) {
         });
         group.bench_function("leakage_span/scalar", |bench| {
             bench.iter(|| fx.leakage_span(PanelKernel::Scalar))
-        });
-        let mut fx32 = KernelFixture32::new(lanes);
-        group.bench_function(&format!("mul_panel_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.mul_panel(active))
-        });
-        group.bench_function(&format!("affine_pair_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.affine_pair(active))
-        });
-        group.bench_function(&format!("leakage_span_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.leakage_span(active))
         });
         group.finish();
     }
@@ -252,54 +161,28 @@ fn report_speedups() {
     let mut affine8_speedup = None;
     for lanes in [8usize, 32] {
         let mut fx = KernelFixture::new(lanes);
-        let mut fx32 = KernelFixture32::new(lanes);
-        let ops: [(KernelOp, KernelOp32); 3] = [
-            (
-                ("mul_panel", KernelFixture::mul_panel),
-                ("mul_panel", KernelFixture32::mul_panel),
-            ),
-            (
-                ("affine_pair", KernelFixture::affine_pair),
-                ("affine_pair", KernelFixture32::affine_pair),
-            ),
-            (
-                ("leakage_span", KernelFixture::leakage_span),
-                ("leakage_span", KernelFixture32::leakage_span),
-            ),
+        let ops: [KernelOp; 3] = [
+            ("mul_panel", KernelFixture::mul_panel),
+            ("affine_pair", KernelFixture::affine_pair),
+            ("leakage_span", KernelFixture::leakage_span),
         ];
-        for ((name, op), (_, op32)) in ops {
+        for (name, op) in ops {
             let wide_ns = time_op(passes, iters, || op(&mut fx, active));
             let scalar_ns = time_op(passes, iters, || op(&mut fx, PanelKernel::Scalar));
             let speedup = scalar_ns / wide_ns;
-            let wide32_ns = time_op(passes, iters, || op32(&mut fx32, active));
-            let scalar32_ns = time_op(passes, iters, || op32(&mut fx32, PanelKernel::Scalar));
-            let speedup32 = scalar32_ns / wide32_ns;
-            let f32_vs_f64 = wide_ns / wide32_ns;
             println!(
-                "panel_kernels/{name}/{lanes}_lanes      {:>8.1} ns ({}) vs {:>8.1} ns (scalar)  {speedup:>6.2}x",
+                "panel_kernels/{name}/{lanes}_lanes  {:>8.1} ns ({}) vs {:>8.1} ns (scalar)  {speedup:>6.2}x",
                 wide_ns,
                 active.name(),
                 scalar_ns,
-            );
-            println!(
-                "panel_kernels/{name}_f32/{lanes}_lanes  {:>8.1} ns ({}) vs {:>8.1} ns (scalar)  {speedup32:>6.2}x  [f32 vs f64: {f32_vs_f64:.2}x]",
-                wide32_ns,
-                active.name(),
-                scalar32_ns,
             );
             if name == "affine_pair" && lanes == 8 {
                 affine8_speedup = Some(speedup);
             }
             rows.push(format!(
-                "    {{ \"op\": \"{name}\", \"elem\": \"f64\", \"lanes\": {lanes}, \
+                "    {{ \"op\": \"{name}\", \"lanes\": {lanes}, \
                  \"{}_ns_per_call\": {wide_ns:.1}, \"scalar_ns_per_call\": {scalar_ns:.1}, \
                  \"speedup\": {speedup:.3} }}",
-                active.name()
-            ));
-            rows.push(format!(
-                "    {{ \"op\": \"{name}\", \"elem\": \"f32\", \"lanes\": {lanes}, \
-                 \"{}_ns_per_call\": {wide32_ns:.1}, \"scalar_ns_per_call\": {scalar32_ns:.1}, \
-                 \"speedup\": {speedup32:.3}, \"f32_vs_f64_speedup\": {f32_vs_f64:.3} }}",
                 active.name()
             ));
         }

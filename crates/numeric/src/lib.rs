@@ -18,11 +18,7 @@
 //! [`Panel`] (one scenario per column, [`PANEL_ALIGN`]-byte-aligned storage)
 //! and the blocked matrix–panel kernels ([`Matrix::mul_panel_into`],
 //! [`affine_pair_apply`]) that advance many scenarios per instruction stream
-//! with each matrix loaded once per step. Panels are generic over element
-//! precision via the sealed [`Elem`] trait ([`PanelT`]; `Panel` is
-//! `PanelT<f64>`, [`PanelF32`] is `PanelT<f32>`), and the width-generic
-//! kernel entry points ([`mul_panel_into_elem`], [`affine_pair_apply_elem`],
-//! [`fused_mul_add_span_elem`]) serve both widths from one code path.
+//! with each matrix loaded once per step.
 //!
 //! # Kernel dispatch
 //!
@@ -47,38 +43,6 @@
 //!   other but relaxes the contract against unfused reference expressions to
 //!   the documented ≤ 1e-12 °C simulation-level bound.
 //!
-//! # Precision selection
-//!
-//! Every panel kernel exists at two element widths: the default f64 path and
-//! an f32 path reached through [`PanelF32`] and the `*_elem` entry points
-//! (AVX2 carries 8 f32 lanes per vector instead of 4, NEON 4 instead of 2,
-//! and every panel byte moved per micro-step halves). Guidance for choosing:
-//!
-//! * **When f32 is safe.** The thermal state spans ~25–95 °C, where f32 has
-//!   ≈ 4–8 µ°C of resolution — three orders of magnitude below both sensor
-//!   quantisation and the 1e-3 °C trajectory budget the mixed-precision
-//!   engine is validated against. Use f32 for throughput-bound sweeps and
-//!   campaigns whose outputs are summary statistics, constraint decisions,
-//!   or energy totals. Numerically sensitive *setup* work (state-space
-//!   discretisation, leakage anchoring via `libm` exp, least-squares fits)
-//!   always stays in f64 and is demoted once per control interval, so f32
-//!   only ever integrates short inter-anchor spans.
-//! * **What shadow mode costs.** The simulator's `F32Shadow` mode steps the
-//!   f64 engine in lockstep with the f32 engine and records the worst-case
-//!   node-temperature divergence, so it pays for *both* engines (slightly
-//!   more than 1× + 1/speedup ≈ 1.6× the f64-only cost) — use it to qualify
-//!   a new scenario family, then switch to plain `F32`.
-//! * **Measured error** (16-lane paper-scale sweep shape, f32 vs f64 oracle;
-//!   see `BENCH_mixed_precision.json` and the `mixed_precision` proptests):
-//!   worst-case trajectory divergence stays below the 1e-3 °C budget with
-//!   over two orders of headroom (~4e-6 °C measured), per-lane energy
-//!   totals agree within 0.01 %, and
-//!   `SafetyLadder` rung transitions agree exactly on every tested run.
-//! * **Bit-identity caveat.** The f32 arms are bit-identical *to each other*
-//!   (same per-lane IEEE-754 operation order across scalar/AVX2/NEON, like
-//!   the f64 arms) but not to the f64 path; cross-width comparisons are
-//!   budgeted, not exact.
-//!
 //! # Example
 //!
 //! ```
@@ -99,7 +63,6 @@
 
 pub mod aligned;
 pub mod codec;
-pub mod elem;
 pub mod fit;
 pub mod interp;
 pub mod lstsq;
@@ -113,21 +76,15 @@ mod error;
 
 pub use aligned::PANEL_ALIGN;
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
-pub use elem::Elem;
 pub use error::NumericError;
 pub use fit::{levenberg_marquardt, FitOptions, FitReport};
 pub use interp::{interp1, Table1d};
 pub use lstsq::{lstsq, ridge_lstsq};
 pub use matrix::{Matrix, Vector};
 pub use panel::{
-    affine_pair_apply, affine_pair_apply_elem, affine_pair_apply_elem_with, affine_pair_apply_with,
-    affine_panel_bias_apply, affine_panel_bias_apply_elem, affine_panel_bias_apply_elem_with,
-    gathered_affine_apply, mul_panel_into_elem, mul_panel_into_elem_with, Panel, PanelF32, PanelT,
-    LANE_CHUNK,
+    affine_pair_apply, affine_pair_apply_with, affine_panel_bias_apply,
+    affine_panel_bias_apply_with, gathered_affine_apply, Panel, LANE_CHUNK,
 };
-pub use simd::{
-    fused_mul_add_span, fused_mul_add_span_elem, fused_mul_add_span_elem_with,
-    fused_mul_add_span_with, madd2_f32, madd_f32, PanelKernel, KERNEL_ENV,
-};
+pub use simd::{fused_mul_add_span, fused_mul_add_span_with, PanelKernel, KERNEL_ENV};
 pub use solve::LuDecomposition;
 pub use stats::{Summary, Welford};

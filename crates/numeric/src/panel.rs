@@ -41,35 +41,24 @@
 use serde::{Deserialize, Serialize};
 
 use crate::aligned::{AlignedVec, PANEL_ALIGN};
-use crate::elem::Elem;
 use crate::matrix::Matrix;
-use crate::simd::PanelKernel;
+use crate::simd::{self, madd, madd2, PanelKernel};
 use crate::NumericError;
 
 /// Width of the register-blocked fast path of the panel kernels.
 pub const LANE_CHUNK: usize = 8;
 
-/// The default double-precision panel every existing path uses.
-pub type Panel = PanelT<f64>;
-
-/// A single-precision panel: same layout as [`Panel`] at half the width, so
-/// every 256-bit vector carries 8 lanes instead of 4. Used by the
-/// mixed-precision engine; see [`crate::simd`] for the precision-selection
-/// guide.
-pub type PanelF32 = PanelT<f32>;
-
 /// A structure-of-arrays panel: `rows` state elements for `lanes` independent
 /// scenarios, stored row-major (`data[i * lanes + l]` is element `i` of
-/// scenario `l`) in [`crate::PANEL_ALIGN`]-byte-aligned storage, generic over
-/// the element precision ([`Elem`]: `f64` or `f32`).
+/// scenario `l`) in [`crate::PANEL_ALIGN`]-byte-aligned storage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PanelT<E: Elem> {
+pub struct Panel {
     rows: usize,
     lanes: usize,
-    data: AlignedVec<E>,
+    data: AlignedVec,
 }
 
-impl<E: Elem> PanelT<E> {
+impl Panel {
     /// Creates a `rows × lanes` panel filled with zeros.
     ///
     /// # Panics
@@ -83,7 +72,7 @@ impl<E: Elem> PanelT<E> {
             0,
             "panel storage must be {PANEL_ALIGN}-byte aligned"
         );
-        PanelT { rows, lanes, data }
+        Panel { rows, lanes, data }
     }
 
     /// Number of state rows.
@@ -104,7 +93,7 @@ impl<E: Elem> PanelT<E> {
     ///
     /// Panics if `i >= self.rows()`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[E] {
+    pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "panel row index out of bounds");
         &self.data[i * self.lanes..(i + 1) * self.lanes]
     }
@@ -115,7 +104,7 @@ impl<E: Elem> PanelT<E> {
     ///
     /// Panics if `i >= self.rows()`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [E] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "panel row index out of bounds");
         &mut self.data[i * self.lanes..(i + 1) * self.lanes]
     }
@@ -126,7 +115,7 @@ impl<E: Elem> PanelT<E> {
     ///
     /// Panics if `i` or `lane` is out of bounds.
     #[inline]
-    pub fn get(&self, i: usize, lane: usize) -> E {
+    pub fn get(&self, i: usize, lane: usize) -> f64 {
         assert!(
             i < self.rows && lane < self.lanes,
             "panel index out of bounds"
@@ -140,7 +129,7 @@ impl<E: Elem> PanelT<E> {
     ///
     /// Panics if `i` or `lane` is out of bounds.
     #[inline]
-    pub fn set(&mut self, i: usize, lane: usize, value: E) {
+    pub fn set(&mut self, i: usize, lane: usize, value: f64) {
         assert!(
             i < self.rows && lane < self.lanes,
             "panel index out of bounds"
@@ -154,7 +143,7 @@ impl<E: Elem> PanelT<E> {
     /// # Panics
     ///
     /// Panics if `lane` is out of bounds or `values.len() != self.rows()`.
-    pub fn set_column(&mut self, lane: usize, values: &[E]) {
+    pub fn set_column(&mut self, lane: usize, values: &[f64]) {
         assert!(lane < self.lanes, "panel lane index out of bounds");
         assert_eq!(values.len(), self.rows, "column length mismatch");
         for (i, &v) in values.iter().enumerate() {
@@ -167,7 +156,7 @@ impl<E: Elem> PanelT<E> {
     /// # Panics
     ///
     /// Panics if `lane` is out of bounds or `out.len() != self.rows()`.
-    pub fn column_into(&self, lane: usize, out: &mut [E]) {
+    pub fn column_into(&self, lane: usize, out: &mut [f64]) {
         assert!(lane < self.lanes, "panel lane index out of bounds");
         assert_eq!(out.len(), self.rows, "column length mismatch");
         for (i, slot) in out.iter_mut().enumerate() {
@@ -176,27 +165,27 @@ impl<E: Elem> PanelT<E> {
     }
 
     /// Scenario `lane`'s state vector as a fresh `Vec` (allocating
-    /// convenience over [`PanelT::column_into`]).
-    pub fn column(&self, lane: usize) -> Vec<E> {
-        let mut out = vec![E::ZERO; self.rows];
+    /// convenience over [`Panel::column_into`]).
+    pub fn column(&self, lane: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.rows];
         self.column_into(lane, &mut out);
         out
     }
 
     /// Fills the whole panel with `value`.
-    pub fn fill(&mut self, value: E) {
+    pub fn fill(&mut self, value: f64) {
         self.data.fill(value);
     }
 
     /// The underlying row-major storage.
     #[inline]
-    pub fn as_slice(&self) -> &[E] {
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The underlying row-major storage, mutably.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [E] {
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 }
@@ -259,7 +248,7 @@ impl Matrix {
             });
         }
         let (m, n, lanes) = (self.rows(), self.cols(), x.lanes);
-        fused_panel_kernel::<f64>(
+        fused_panel_kernel(
             kernel,
             self.as_slice(),
             None,
@@ -273,66 +262,6 @@ impl Matrix {
         );
         Ok(())
     }
-}
-
-/// Width-generic matrix–panel product `out = a · x`, where the `m × n`
-/// "matrix" is itself a [`PanelT`] (`rows() = m`, `lanes() = n`, row-major —
-/// the exact [`Matrix`] layout at either precision). This is the f32-capable
-/// twin of [`Matrix::mul_panel_into`], dispatched through
-/// [`PanelKernel::active`].
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] if `a.lanes() != x.rows()` or
-/// `out` is not `a.rows() × x.lanes()`.
-pub fn mul_panel_into_elem<E: Elem>(
-    a: &PanelT<E>,
-    x: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    mul_panel_into_elem_with(PanelKernel::active(), a, x, out)
-}
-
-/// [`mul_panel_into_elem`] through an explicit [`PanelKernel`] arm
-/// (testing/benching form; an unavailable kernel degrades to scalar).
-///
-/// # Errors
-///
-/// As for [`mul_panel_into_elem`].
-pub fn mul_panel_into_elem_with<E: Elem>(
-    kernel: PanelKernel,
-    a: &PanelT<E>,
-    x: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    if a.lanes != x.rows {
-        return Err(NumericError::DimensionMismatch {
-            operation: "matrix-panel multiplication",
-            left: (a.rows, a.lanes),
-            right: (x.rows, x.lanes),
-        });
-    }
-    if out.rows != a.rows || out.lanes != x.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "matrix-panel output",
-            left: (a.rows, x.lanes),
-            right: (out.rows, out.lanes),
-        });
-    }
-    let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
-    fused_panel_kernel::<E>(
-        kernel,
-        a.as_slice(),
-        None,
-        None,
-        x.as_slice(),
-        None,
-        &mut out.data,
-        m,
-        n,
-        lanes,
-    );
-    Ok(())
 }
 
 /// Fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y`.
@@ -400,7 +329,7 @@ pub fn affine_pair_apply_with(
         });
     }
     let (m, n, lanes) = (a.rows(), a.cols(), x.lanes);
-    fused_panel_kernel::<f64>(
+    fused_panel_kernel(
         kernel,
         a.as_slice(),
         Some(b.as_slice()),
@@ -415,144 +344,21 @@ pub fn affine_pair_apply_with(
     Ok(())
 }
 
-/// Width-generic fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y`,
-/// where the `m × n` matrices are [`PanelT`]s (`rows() = m`, `lanes() = n`,
-/// row-major). This is the f32-capable twin of [`affine_pair_apply`] — the
-/// batched thermal transition's hot loop — with the same per-lane
-/// accumulation-order contract, dispatched through [`PanelKernel::active`].
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] under the same conditions as
-/// [`affine_pair_apply`].
-pub fn affine_pair_apply_elem<E: Elem>(
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &[E],
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    affine_pair_apply_elem_with(PanelKernel::active(), a, b, bias, x, y, out)
-}
-
-/// [`affine_pair_apply_elem`] through an explicit [`PanelKernel`] arm
-/// (testing/benching form; an unavailable kernel degrades to scalar).
-///
-/// # Errors
-///
-/// As for [`affine_pair_apply_elem`].
-#[allow(clippy::too_many_arguments)]
-pub fn affine_pair_apply_elem_with<E: Elem>(
-    kernel: PanelKernel,
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &[E],
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    if a.rows != b.rows || a.lanes != b.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel pair",
-            left: (a.rows, a.lanes),
-            right: (b.rows, b.lanes),
-        });
-    }
-    if a.lanes != x.rows || x.rows != y.rows || x.lanes != y.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel inputs",
-            left: (a.lanes, x.lanes),
-            right: (y.rows, y.lanes),
-        });
-    }
-    if bias.len() != a.rows || out.rows != a.rows || out.lanes != x.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel output",
-            left: (a.rows, x.lanes),
-            right: (out.rows, out.lanes),
-        });
-    }
-    let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
-    fused_panel_kernel::<E>(
-        kernel,
-        a.as_slice(),
-        Some(b.as_slice()),
-        Some(bias),
-        x.as_slice(),
-        Some(y.as_slice()),
-        &mut out.data,
-        m,
-        n,
-        lanes,
-    );
-    Ok(())
-}
-
-/// Width-generic fused affine panel step with a per-lane bias *panel*:
+/// Fused affine panel step with a per-lane bias *panel*:
 /// `out = bias + a·x + b·y`, where `bias` is `m × lanes` (the same layout as
-/// `out`) instead of a per-row broadcast vector. This is the transition-apply
-/// shape used by the mixed-precision delta-form engine: the constant per-lane
-/// drive `c + (R − I)·T0` rides in through the accumulator initialisation (a
-/// plain vector load), so it costs no separate read-modify-write pass over
-/// the deviation panel. Accumulation order per output element is the bias
+/// `out`) instead of a per-row broadcast vector. This is the batched plant's
+/// transition apply: the bias panel carries each lane's own ambient drive, so
+/// lanes that share `a`/`b` but not their ambient still advance in one
+/// blocked pass, and the drive rides in through the accumulator
+/// initialisation (a plain vector load) rather than a separate
+/// read-modify-write pass. Accumulation order per output element is the bias
 /// element, then for `j = 0..n` the `a`-term followed by the `b`-term — the
-/// same contract as [`affine_pair_apply_elem`], upheld identically by every
-/// arm.
+/// same contract as [`affine_pair_apply`], upheld identically by every arm.
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::DimensionMismatch`] if the matrix panels disagree
-/// in shape, the inputs do not match, or `bias`/`out` is not
-/// `a.rows() × x.lanes()`.
-pub fn affine_panel_bias_apply_elem<E: Elem>(
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &PanelT<E>,
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    affine_panel_bias_apply_elem_with(PanelKernel::active(), a, b, bias, x, y, out)
-}
-
-/// [`affine_panel_bias_apply_elem`] through an explicit [`PanelKernel`] arm
-/// (testing/benching form; an unavailable kernel degrades to scalar).
-///
-/// # Errors
-///
-/// As for [`affine_panel_bias_apply_elem`].
-#[allow(clippy::too_many_arguments)]
-pub fn affine_panel_bias_apply_elem_with<E: Elem>(
-    kernel: PanelKernel,
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &PanelT<E>,
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    affine_panel_bias_kernel(
-        kernel,
-        (a.as_slice(), a.rows, a.lanes),
-        (b.as_slice(), b.rows, b.lanes),
-        bias,
-        x,
-        y,
-        out,
-    )
-}
-
-/// The [`Matrix`]-fronted f64 form of [`affine_panel_bias_apply_elem`]:
-/// `out = bias + a·x + b·y` with a per-lane `m × lanes` bias panel, under the
-/// same accumulation-order contract as [`affine_pair_apply`]. This is the
-/// batched plant's transition apply: the bias panel carries each lane's own
-/// ambient drive, so lanes that share `a`/`b` but not their ambient still
-/// advance in one blocked pass.
-///
-/// # Errors
-///
-/// As for [`affine_panel_bias_apply_elem`].
+/// Returns [`NumericError::DimensionMismatch`] if the matrix shapes differ,
+/// the inputs do not match, or `bias`/`out` is not `a.rows() × x.lanes()`.
 pub fn affine_panel_bias_apply(
     a: &Matrix,
     b: &Matrix,
@@ -561,34 +367,30 @@ pub fn affine_panel_bias_apply(
     y: &Panel,
     out: &mut Panel,
 ) -> Result<(), NumericError> {
-    affine_panel_bias_kernel(
-        PanelKernel::active(),
-        (a.as_slice(), a.rows(), a.cols()),
-        (b.as_slice(), b.rows(), b.cols()),
-        bias,
-        x,
-        y,
-        out,
-    )
+    affine_panel_bias_apply_with(PanelKernel::active(), a, b, bias, x, y, out)
 }
 
-/// Shape checks and dispatch shared by [`affine_panel_bias_apply`] and
-/// [`affine_panel_bias_apply_elem_with`]; `a` and `b` are row-major
-/// `(data, rows, cols)` matrices.
-fn affine_panel_bias_kernel<E: Elem>(
+/// [`affine_panel_bias_apply`] through an explicit [`PanelKernel`] arm
+/// (testing/benching form; an unavailable kernel degrades to scalar).
+///
+/// # Errors
+///
+/// As for [`affine_panel_bias_apply`].
+pub fn affine_panel_bias_apply_with(
     kernel: PanelKernel,
-    (a_data, a_rows, a_cols): (&[E], usize, usize),
-    (b_data, b_rows, b_cols): (&[E], usize, usize),
-    bias: &PanelT<E>,
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
+    a: &Matrix,
+    b: &Matrix,
+    bias: &Panel,
+    x: &Panel,
+    y: &Panel,
+    out: &mut Panel,
 ) -> Result<(), NumericError> {
-    if a_rows != b_rows || a_cols != b_cols {
+    let (a_rows, a_cols) = (a.rows(), a.cols());
+    if a_rows != b.rows() || a_cols != b.cols() {
         return Err(NumericError::DimensionMismatch {
             operation: "affine panel pair",
             left: (a_rows, a_cols),
-            right: (b_rows, b_cols),
+            right: (b.rows(), b.cols()),
         });
     }
     if a_cols != x.rows || x.rows != y.rows || x.lanes != y.lanes {
@@ -606,16 +408,12 @@ fn affine_panel_bias_kernel<E: Elem>(
         });
     }
     let (m, n, lanes) = (a_rows, a_cols, x.lanes);
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let bias_data = bias.as_slice();
     let (x_data, y_data) = (x.as_slice(), y.as_slice());
     let out = &mut out.data;
     let full = lanes - lanes % LANE_CHUNK;
-    let handled = E::affine_panel_chunks(
+    let handled = simd::affine_panel_chunks(
         kernel, a_data, b_data, bias_data, x_data, y_data, out, m, n, lanes, full,
     );
     if handled == lanes {
@@ -629,13 +427,13 @@ fn affine_panel_bias_kernel<E: Elem>(
     while i + 2 <= m {
         let mut off = handled;
         while off + LANE_CHUNK <= lanes {
-            scalar_rows_bias_panel::<E, 2>(
+            scalar_rows_bias_panel::<2>(
                 a_data, b_data, bias_data, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
             );
             off += LANE_CHUNK;
         }
         if off < lanes {
-            scalar_rows_bias_panel::<E, 2>(
+            scalar_rows_bias_panel::<2>(
                 a_data,
                 b_data,
                 bias_data,
@@ -654,13 +452,13 @@ fn affine_panel_bias_kernel<E: Elem>(
     if i < m {
         let mut off = handled;
         while off + LANE_CHUNK <= lanes {
-            scalar_rows_bias_panel::<E, 1>(
+            scalar_rows_bias_panel::<1>(
                 a_data, b_data, bias_data, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
             );
             off += LANE_CHUNK;
         }
         if off < lanes {
-            scalar_rows_bias_panel::<E, 1>(
+            scalar_rows_bias_panel::<1>(
                 a_data,
                 b_data,
                 bias_data,
@@ -692,7 +490,7 @@ fn affine_panel_bias_kernel<E: Elem>(
 /// changes, so every micro-step still runs at unit stride across lanes.
 ///
 /// Lanes are processed in fixed [`LANE_CHUNK`]-wide chunks with register
-/// accumulators over `j`, through the same [`Elem::madd2`] step as the other
+/// accumulators over `j`, through the same [`madd2`] step as the other
 /// panel kernels: per lane the order is `bias`, then for `j = 0..n` the
 /// `r`-term before the `s`-term, so a lane's result is bit-identical to
 /// [`affine_panel_bias_apply`] (and to the scalar transition) given the same
@@ -704,13 +502,13 @@ fn affine_panel_bias_kernel<E: Elem>(
 /// Returns [`NumericError::DimensionMismatch`] if `x` and `y` differ in
 /// shape, `r`/`s` are not `(bias.rows() · x.rows()) × x.lanes()`, or
 /// `bias`/`out` are not `m × x.lanes()`.
-pub fn gathered_affine_apply<E: Elem>(
-    r: &PanelT<E>,
-    s: &PanelT<E>,
-    bias: &PanelT<E>,
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
+pub fn gathered_affine_apply(
+    r: &Panel,
+    s: &Panel,
+    bias: &Panel,
+    x: &Panel,
+    y: &Panel,
+    out: &mut Panel,
 ) -> Result<(), NumericError> {
     let (m, n, lanes) = (bias.rows, x.rows, x.lanes);
     if x.rows != y.rows || x.lanes != y.lanes {
@@ -760,13 +558,13 @@ pub fn gathered_affine_apply<E: Elem>(
 /// full chunks so the inner loops get a fixed trip count to vectorise.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn gathered_rows<E: Elem>(
-    r: &[E],
-    s: &[E],
-    bias: &[E],
-    x: &[E],
-    y: &[E],
-    out: &mut [E],
+fn gathered_rows(
+    r: &[f64],
+    s: &[f64],
+    bias: &[f64],
+    x: &[f64],
+    y: &[f64],
+    out: &mut [f64],
     m: usize,
     n: usize,
     lanes: usize,
@@ -775,7 +573,7 @@ fn gathered_rows<E: Elem>(
 ) {
     for i in 0..m {
         let row = i * lanes + off;
-        let mut acc = [E::ZERO; LANE_CHUNK];
+        let mut acc = [0.0; LANE_CHUNK];
         acc[..width].copy_from_slice(&bias[row..row + width]);
         for j in 0..n {
             let x_row = &x[j * lanes + off..j * lanes + off + width];
@@ -783,50 +581,42 @@ fn gathered_rows<E: Elem>(
             let k = (i * n + j) * lanes + off;
             let (r_row, s_row) = (&r[k..k + width], &s[k..k + width]);
             for q in 0..width {
-                acc[q] = E::madd2(r_row[q], x_row[q], s_row[q], y_row[q], acc[q]);
+                acc[q] = madd2(r_row[q], x_row[q], s_row[q], y_row[q], acc[q]);
             }
         }
         out[row..row + width].copy_from_slice(&acc[..width]);
     }
 }
 
-/// Shared dispatching kernel behind [`Matrix::mul_panel_into`],
-/// [`affine_pair_apply`] and their width-generic `_elem` twins, operating on
-/// raw row-major slices so one monomorphisation per element type serves both
-/// the [`Matrix`]-fronted f64 API and the panel-as-matrix f32 API. `b_data` /
+/// Shared dispatching kernel behind [`Matrix::mul_panel_into`] and
+/// [`affine_pair_apply`], operating on raw row-major slices. `b_data` /
 /// `y_data` are `None` for the single-matrix product; a `None` bias means all
 /// zeros (no allocation). Dimensions are assumed pre-validated: `a` (and `b`)
 /// cover `m × n`, `x` (and `y`) `n × lanes`, `out` `m × lanes`.
 ///
-/// The requested arm (degraded to scalar if unavailable on this host, routed
-/// through the [`Elem`] chunk hooks) handles the full [`LANE_CHUNK`]-wide
-/// chunks `[0, full)`; the remainder lanes always take [`scalar_rows`]. Both
-/// produce bit-identical lanes — see [`crate::simd`].
+/// The requested arm (degraded to scalar if unavailable on this host)
+/// handles the full [`LANE_CHUNK`]-wide chunks `[0, full)`; the remainder
+/// lanes always take [`scalar_rows`]. Both produce bit-identical lanes — see
+/// [`crate::simd`].
 #[allow(clippy::too_many_arguments)]
-fn fused_panel_kernel<E: Elem>(
+fn fused_panel_kernel(
     kernel: PanelKernel,
-    a_data: &[E],
-    b_data: Option<&[E]>,
-    bias: Option<&[E]>,
-    x_data: &[E],
-    y_data: Option<&[E]>,
-    out: &mut [E],
+    a_data: &[f64],
+    b_data: Option<&[f64]>,
+    bias: Option<&[f64]>,
+    x_data: &[f64],
+    y_data: Option<&[f64]>,
+    out: &mut [f64],
     m: usize,
     n: usize,
     lanes: usize,
 ) {
     let full = lanes - lanes % LANE_CHUNK;
-
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
     let handled = match (b_data, y_data) {
         (Some(bd), Some(yd)) => {
-            E::affine_chunks(kernel, a_data, bd, bias, x_data, yd, out, m, n, lanes, full)
+            simd::affine_chunks(kernel, a_data, bd, bias, x_data, yd, out, m, n, lanes, full)
         }
-        _ => E::mul_chunks(kernel, a_data, bias, x_data, out, m, n, lanes, full),
+        _ => simd::mul_chunks(kernel, a_data, bias, x_data, out, m, n, lanes, full),
     };
     if handled == lanes {
         return;
@@ -842,13 +632,13 @@ fn fused_panel_kernel<E: Elem>(
         let biases = [bias_at(bias, i), bias_at(bias, i + 1)];
         let mut off = handled;
         while off + LANE_CHUNK <= lanes {
-            scalar_rows::<E, 2>(
+            scalar_rows::<2>(
                 a_data, b_data, biases, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
             );
             off += LANE_CHUNK;
         }
         if off < lanes {
-            scalar_rows::<E, 2>(
+            scalar_rows::<2>(
                 a_data,
                 b_data,
                 biases,
@@ -868,13 +658,13 @@ fn fused_panel_kernel<E: Elem>(
         let biases = [bias_at(bias, i)];
         let mut off = handled;
         while off + LANE_CHUNK <= lanes {
-            scalar_rows::<E, 1>(
+            scalar_rows::<1>(
                 a_data, b_data, biases, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
             );
             off += LANE_CHUNK;
         }
         if off < lanes {
-            scalar_rows::<E, 1>(
+            scalar_rows::<1>(
                 a_data,
                 b_data,
                 biases,
@@ -892,34 +682,33 @@ fn fused_panel_kernel<E: Elem>(
 }
 
 #[inline(always)]
-fn bias_at<E: Elem>(bias: Option<&[E]>, i: usize) -> E {
-    bias.map_or(E::ZERO, |b| b[i])
+fn bias_at(bias: Option<&[f64]>, i: usize) -> f64 {
+    bias.map_or(0.0, |b| b[i])
 }
 
-/// Width- and precision-generic scalar body of the panel kernels:
+/// Width-generic scalar body of the panel kernels:
 /// accumulates `R` output rows starting at `i` over lanes
 /// `[off, off + width)` (`width <=` [`LANE_CHUNK`]). The single helper serves
 /// the blocked full-chunk pass, the odd-row tail and the remainder lanes, so
 /// all of them share one accumulation order by construction — per lane,
 /// `bias`, then for each `j` the `a`-term before the `b`-term, through the
-/// [`Elem::madd`] / [`Elem::madd2`] primitives (identical to
-/// [`crate::simd::madd`] / [`crate::simd::madd2`] and their f32 twins).
+/// [`madd`] / [`madd2`] primitives.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn scalar_rows<E: Elem, const R: usize>(
-    a_data: &[E],
-    b_data: Option<&[E]>,
-    biases: [E; R],
-    x_data: &[E],
-    y_data: Option<&[E]>,
-    out: &mut [E],
+fn scalar_rows<const R: usize>(
+    a_data: &[f64],
+    b_data: Option<&[f64]>,
+    biases: [f64; R],
+    x_data: &[f64],
+    y_data: Option<&[f64]>,
+    out: &mut [f64],
     i: usize,
     n: usize,
     lanes: usize,
     off: usize,
     width: usize,
 ) {
-    let mut acc = [[E::ZERO; LANE_CHUNK]; R];
+    let mut acc = [[0.0; LANE_CHUNK]; R];
     for (r, row) in acc.iter_mut().enumerate() {
         *row = [biases[r]; LANE_CHUNK];
     }
@@ -932,7 +721,7 @@ fn scalar_rows<E: Elem, const R: usize>(
                     let a0 = a_data[(i + r) * n + j];
                     let b0 = bd[(i + r) * n + j];
                     for q in 0..width {
-                        row[q] = E::madd2(a0, x_row[q], b0, y_row[q], row[q]);
+                        row[q] = madd2(a0, x_row[q], b0, y_row[q], row[q]);
                     }
                 }
             }
@@ -943,7 +732,7 @@ fn scalar_rows<E: Elem, const R: usize>(
                 for (r, row) in acc.iter_mut().enumerate() {
                     let a0 = a_data[(i + r) * n + j];
                     for q in 0..width {
-                        row[q] = E::madd(a0, x_row[q], row[q]);
+                        row[q] = madd(a0, x_row[q], row[q]);
                     }
                 }
             }
@@ -954,26 +743,26 @@ fn scalar_rows<E: Elem, const R: usize>(
     }
 }
 
-/// The [`scalar_rows`] twin for [`affine_panel_bias_apply_elem`]: identical
+/// The [`scalar_rows`] twin for [`affine_panel_bias_apply`]: identical
 /// blocking and accumulation order, except the accumulators are seeded from
 /// the `m × lanes` bias panel row (one element per lane) instead of a
 /// per-row broadcast.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn scalar_rows_bias_panel<E: Elem, const R: usize>(
-    a_data: &[E],
-    b_data: &[E],
-    bias_data: &[E],
-    x_data: &[E],
-    y_data: &[E],
-    out: &mut [E],
+fn scalar_rows_bias_panel<const R: usize>(
+    a_data: &[f64],
+    b_data: &[f64],
+    bias_data: &[f64],
+    x_data: &[f64],
+    y_data: &[f64],
+    out: &mut [f64],
     i: usize,
     n: usize,
     lanes: usize,
     off: usize,
     width: usize,
 ) {
-    let mut acc = [[E::ZERO; LANE_CHUNK]; R];
+    let mut acc = [[0.0; LANE_CHUNK]; R];
     for (r, row) in acc.iter_mut().enumerate() {
         let start = (i + r) * lanes + off;
         row[..width].copy_from_slice(&bias_data[start..start + width]);
@@ -985,7 +774,7 @@ fn scalar_rows_bias_panel<E: Elem, const R: usize>(
             let a0 = a_data[(i + r) * n + j];
             let b0 = b_data[(i + r) * n + j];
             for q in 0..width {
-                row[q] = E::madd2(a0, x_row[q], b0, y_row[q], row[q]);
+                row[q] = madd2(a0, x_row[q], b0, y_row[q], row[q]);
             }
         }
     }
@@ -1178,144 +967,6 @@ mod tests {
         }
     }
 
-    /// An n×n f32 "matrix" panel mirroring [`test_matrix`]'s values.
-    fn test_matrix_f32(n: usize, seed: f64) -> PanelF32 {
-        let m = test_matrix(n, seed);
-        let mut p = PanelF32::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                p.set(i, j, m[(i, j)] as f32);
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn f32_panel_accessors_round_trip() {
-        let mut p = PanelF32::zeros(3, 5);
-        p.set(1, 4, 2.5);
-        assert_eq!(p.get(1, 4), 2.5);
-        p.set_column(2, &[1.0, 2.0, 3.0]);
-        assert_eq!(p.column(2), vec![1.0f32, 2.0, 3.0]);
-        assert_eq!(p.as_slice().as_ptr() as usize % PANEL_ALIGN, 0);
-        let twin = p.clone();
-        assert_eq!(p, twin);
-    }
-
-    #[test]
-    fn f32_mul_panel_matches_the_f64_kernel_within_precision() {
-        for lanes in [1, 3, 7, 8, 9, 16, 19] {
-            for n in [3, 4, 8] {
-                let a64 = test_matrix(n, 0.7);
-                let a32 = test_matrix_f32(n, 0.7);
-                let mut x64 = Panel::zeros(n, lanes);
-                let mut x32 = PanelF32::zeros(n, lanes);
-                for lane in 0..lanes {
-                    for i in 0..n {
-                        let v = (lane * n + i) as f64 * 0.1 + 1.0;
-                        x64.set(i, lane, v);
-                        x32.set(i, lane, v as f32);
-                    }
-                }
-                let mut out64 = Panel::zeros(n, lanes);
-                a64.mul_panel_into(&x64, &mut out64).unwrap();
-                let mut out32 = PanelF32::zeros(n, lanes);
-                mul_panel_into_elem(&a32, &x32, &mut out32).unwrap();
-                for lane in 0..lanes {
-                    for i in 0..n {
-                        let want = out64.get(i, lane);
-                        let got = f64::from(out32.get(i, lane));
-                        assert!(
-                            (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                            "n={n} lanes={lanes} lane={lane} row={i}: {got} vs {want}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_explicit_kernel_arms_agree_with_f32_scalar_to_the_bit() {
-        let n = 8;
-        let a = test_matrix_f32(n, 0.2);
-        let b = test_matrix_f32(n, 0.05);
-        let bias: Vec<f32> = (0..n).map(|i| 0.01 * i as f32).collect();
-        for lanes in [8, 11, 24] {
-            let mut x = PanelF32::zeros(n, lanes);
-            let mut y = PanelF32::zeros(n, lanes);
-            for lane in 0..lanes {
-                for i in 0..n {
-                    x.set(i, lane, 50.0 + (lane + i) as f32 * 0.37);
-                    y.set(i, lane, 0.5 + (lane * i) as f32 * 0.011);
-                }
-            }
-            let mut scalar_out = PanelF32::zeros(n, lanes);
-            affine_pair_apply_elem_with(
-                PanelKernel::Scalar,
-                &a,
-                &b,
-                &bias,
-                &x,
-                &y,
-                &mut scalar_out,
-            )
-            .unwrap();
-            let mut scalar_mul = PanelF32::zeros(n, lanes);
-            mul_panel_into_elem_with(PanelKernel::Scalar, &a, &x, &mut scalar_mul).unwrap();
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut out = PanelF32::zeros(n, lanes);
-                affine_pair_apply_elem_with(kernel, &a, &b, &bias, &x, &y, &mut out).unwrap();
-                assert_eq!(out, scalar_out, "affine {kernel:?} lanes={lanes}");
-                let mut mul = PanelF32::zeros(n, lanes);
-                mul_panel_into_elem_with(kernel, &a, &x, &mut mul).unwrap();
-                assert_eq!(mul, scalar_mul, "mul {kernel:?} lanes={lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_lane_results_do_not_depend_on_neighbours() {
-        let n = 8;
-        let a = test_matrix_f32(n, 0.4);
-        let col: Vec<f32> = (0..n).map(|i| 40.0 + i as f32 * 1.3).collect();
-        let mut wide = PanelF32::zeros(n, 11);
-        for lane in 0..11 {
-            wide.set_column(lane, &col);
-        }
-        let mut out_wide = PanelF32::zeros(n, 11);
-        mul_panel_into_elem(&a, &wide, &mut out_wide).unwrap();
-        let mut narrow = PanelF32::zeros(n, 1);
-        narrow.set_column(0, &col);
-        let mut out_narrow = PanelF32::zeros(n, 1);
-        mul_panel_into_elem(&a, &narrow, &mut out_narrow).unwrap();
-        for lane in 0..11 {
-            for i in 0..n {
-                assert_eq!(
-                    out_wide.get(i, lane).to_bits(),
-                    out_narrow.get(i, 0).to_bits(),
-                    "lane {lane} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_kernels_reject_mismatched_shapes() {
-        let a = PanelF32::zeros(3, 3);
-        let x = PanelF32::zeros(4, 2);
-        let mut out = PanelF32::zeros(3, 2);
-        assert!(mul_panel_into_elem(&a, &x, &mut out).is_err());
-        let x = PanelF32::zeros(3, 2);
-        let y = PanelF32::zeros(3, 2);
-        assert!(affine_pair_apply_elem(&a, &a, &[0.0; 2], &x, &y, &mut out).is_err());
-        let b = PanelF32::zeros(3, 2);
-        assert!(affine_pair_apply_elem(&a, &b, &[0.0; 3], &x, &y, &mut out).is_err());
-    }
-
     #[test]
     fn kernels_reject_mismatched_shapes() {
         let a = Matrix::zeros(3, 3);
@@ -1417,16 +1068,6 @@ mod tests {
         let n = 8;
         let a = test_matrix(n, 0.2);
         let b = test_matrix(n, 0.05);
-        let (a_panel, b_panel) = {
-            let (mut ap, mut bp) = (PanelT::<f64>::zeros(n, n), PanelT::<f64>::zeros(n, n));
-            for i in 0..n {
-                for j in 0..n {
-                    ap.set(i, j, a[(i, j)]);
-                    bp.set(i, j, b[(i, j)]);
-                }
-            }
-            (ap, bp)
-        };
         for lanes in [1, 3, 8, 9, 17] {
             let mut r = Panel::zeros(n * n, lanes);
             let mut s = Panel::zeros(n * n, lanes);
@@ -1446,10 +1087,7 @@ mod tests {
             assert_eq!(gathered, shared, "active arm lanes={lanes}");
             for kernel in [PanelKernel::Scalar, PanelKernel::Avx2Fma, PanelKernel::Neon] {
                 let mut out = Panel::zeros(n, lanes);
-                affine_panel_bias_apply_elem_with(
-                    kernel, &a_panel, &b_panel, &bias, &x, &y, &mut out,
-                )
-                .unwrap();
+                affine_panel_bias_apply_with(kernel, &a, &b, &bias, &x, &y, &mut out).unwrap();
                 assert_eq!(gathered, out, "{kernel:?} lanes={lanes}");
             }
         }

@@ -105,6 +105,16 @@ impl PanelKernel {
         }
     }
 
+    /// `self` if this host can run it, else [`PanelKernel::Scalar`] — how
+    /// every `*_with` entry point degrades an unavailable request.
+    pub(crate) fn if_available(self) -> Self {
+        if self.is_available() {
+            self
+        } else {
+            Self::Scalar
+        }
+    }
+
     /// The process-wide kernel every dispatched entry point uses: probed once
     /// at first use, honouring the [`KERNEL_ENV`] override (see the module
     /// docs).
@@ -203,35 +213,6 @@ pub fn madd2(a: f64, x: f64, b: f64, y: f64, acc: f64) -> f64 {
     }
 }
 
-/// The `f32` twin of [`madd`]: `acc + a·x` in single precision, fused under
-/// the `fma` feature. The mixed-precision panel paths accumulate through this
-/// primitive so their scalar and vector arms round identically per lane.
-#[inline(always)]
-pub fn madd_f32(a: f32, x: f32, acc: f32) -> f32 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + a * x
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, acc)
-    }
-}
-
-/// The `f32` twin of [`madd2`]: `acc + a·x + b·y` in single precision
-/// (`a`-term before `b`-term).
-#[inline(always)]
-pub fn madd2_f32(a: f32, x: f32, b: f32, y: f32, acc: f32) -> f32 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + (a * x + b * y)
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, b.mul_add(y, acc))
-    }
-}
-
 /// Elementwise fused span `out[k] = base[k] + coef[k] · cur[k]`, dispatched
 /// through [`PanelKernel::active`] — the batched plant's per-micro-step
 /// power-assembly kernel.
@@ -240,7 +221,7 @@ pub fn madd2_f32(a: f32, x: f32, b: f32, y: f32, acc: f32) -> f32 {
 ///
 /// Panics if the slices differ in length.
 pub fn fused_mul_add_span(base: &[f64], coef: &[f64], cur: &[f64], out: &mut [f64]) {
-    fused_mul_add_span_elem_with(PanelKernel::active(), base, coef, cur, out);
+    fused_mul_add_span_with(PanelKernel::active(), base, coef, cur, out);
 }
 
 /// [`fused_mul_add_span`] through an explicit kernel arm (testing/benching
@@ -256,48 +237,139 @@ pub fn fused_mul_add_span_with(
     cur: &[f64],
     out: &mut [f64],
 ) {
-    fused_mul_add_span_elem_with(kernel, base, coef, cur, out);
-}
-
-/// Width-generic fused span `out[k] = base[k] + coef[k] · cur[k]` over any
-/// panel element type, dispatched through [`PanelKernel::active`] — at `f32`
-/// every vector carries twice the lanes of the `f64` path.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn fused_mul_add_span_elem<E: crate::Elem>(base: &[E], coef: &[E], cur: &[E], out: &mut [E]) {
-    fused_mul_add_span_elem_with(PanelKernel::active(), base, coef, cur, out);
-}
-
-/// [`fused_mul_add_span_elem`] through an explicit kernel arm (an
-/// unavailable kernel degrades to scalar).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn fused_mul_add_span_elem_with<E: crate::Elem>(
-    kernel: PanelKernel,
-    base: &[E],
-    coef: &[E],
-    cur: &[E],
-    out: &mut [E],
-) {
     let len = out.len();
     assert!(
         base.len() == len && coef.len() == len && cur.len() == len,
         "fused span slices must agree in length"
     );
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
-    if E::fused_span(kernel, base, coef, cur, out) {
-        return;
+    match kernel.if_available() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability checked; lengths checked above.
+        PanelKernel::Avx2Fma => unsafe { avx2::fused_mul_add_span(base, coef, cur, out) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above.
+        PanelKernel::Neon => unsafe { neon::fused_mul_add_span(base, coef, cur, out) },
+        _ => {
+            for k in 0..len {
+                out[k] = madd(coef[k], cur[k], base[k]);
+            }
+        }
     }
-    for k in 0..len {
-        out[k] = E::madd(coef[k], cur[k], base[k]);
+}
+
+/// Hands the full lane chunks `[0, full)` of a matrix–panel product
+/// `out = bias ⊗ 1ᵀ + a·x` to `kernel`'s vector arm, returning how many lanes
+/// were handled: `full`, or 0 when `kernel` has no vector arm on this host
+/// (the caller then runs the blocked scalar path).
+///
+/// `a` covers `m × n` row-major, `x` `n × lanes`, `out` `m × lanes`, `bias`
+/// (if any) `m`; `full` is a multiple of [`crate::LANE_CHUNK`] and ≤ `lanes`.
+/// Callers must pre-validate those extents.
+#[allow(clippy::too_many_arguments, unused_variables)]
+pub(crate) fn mul_chunks(
+    kernel: PanelKernel,
+    a: &[f64],
+    bias: Option<&[f64]>,
+    x: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    lanes: usize,
+    full: usize,
+) -> usize {
+    if full == 0 {
+        return 0;
+    }
+    match kernel.if_available() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability checked; extents pre-validated by the caller.
+        PanelKernel::Avx2Fma => unsafe {
+            avx2::mul_chunks(a, bias, x, out, m, n, lanes, full);
+            full
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above.
+        PanelKernel::Neon => unsafe {
+            neon::mul_chunks(a, bias, x, out, m, n, lanes, full);
+            full
+        },
+        _ => 0,
+    }
+}
+
+/// Hands the full lane chunks `[0, full)` of an affine-pair step
+/// `out = bias ⊗ 1ᵀ + a·x + b·y` to `kernel`'s vector arm (layout contract
+/// as in [`mul_chunks`], with `b` covering `m × n` and `y` `n × lanes`);
+/// returns lanes handled.
+#[allow(clippy::too_many_arguments, unused_variables)]
+pub(crate) fn affine_chunks(
+    kernel: PanelKernel,
+    a: &[f64],
+    b: &[f64],
+    bias: Option<&[f64]>,
+    x: &[f64],
+    y: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    lanes: usize,
+    full: usize,
+) -> usize {
+    if full == 0 {
+        return 0;
+    }
+    match kernel.if_available() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability checked; extents pre-validated by the caller.
+        PanelKernel::Avx2Fma => unsafe {
+            avx2::affine_chunks(a, b, bias, x, y, out, m, n, lanes, full);
+            full
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above.
+        PanelKernel::Neon => unsafe {
+            neon::affine_chunks(a, b, bias, x, y, out, m, n, lanes, full);
+            full
+        },
+        _ => 0,
+    }
+}
+
+/// Hands the full lane chunks `[0, full)` of an affine-pair step with a
+/// per-lane bias *panel*, `out = bias + a·x + b·y`, to `kernel`'s vector arm
+/// (layout contract as in [`affine_chunks`], except `bias` covers
+/// `m × lanes` — the same layout as `out`); returns lanes handled.
+#[allow(clippy::too_many_arguments, unused_variables)]
+pub(crate) fn affine_panel_chunks(
+    kernel: PanelKernel,
+    a: &[f64],
+    b: &[f64],
+    bias: &[f64],
+    x: &[f64],
+    y: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    lanes: usize,
+    full: usize,
+) -> usize {
+    if full == 0 {
+        return 0;
+    }
+    match kernel.if_available() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability checked; extents pre-validated by the caller.
+        PanelKernel::Avx2Fma => unsafe {
+            avx2::affine_panel_chunks(a, b, bias, x, y, out, m, n, lanes, full);
+            full
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above.
+        PanelKernel::Neon => unsafe {
+            neon::affine_panel_chunks(a, b, bias, x, y, out, m, n, lanes, full);
+            full
+        },
+        _ => 0,
     }
 }
 
@@ -307,14 +379,11 @@ pub fn fused_mul_add_span_elem_with<E: crate::Elem>(
 /// [`madd2`] primitives so every lane rounds identically.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use core::arch::x86_64::{
-        __m256, __m256d, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_set1_pd, _mm256_set1_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps,
-    };
-    #[cfg(not(feature = "fma"))]
-    use core::arch::x86_64::{_mm256_add_pd, _mm256_add_ps, _mm256_mul_pd, _mm256_mul_ps};
     #[cfg(feature = "fma")]
-    use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_fmadd_ps};
+    use core::arch::x86_64::_mm256_fmadd_pd;
+    use core::arch::x86_64::{__m256d, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd};
+    #[cfg(not(feature = "fma"))]
+    use core::arch::x86_64::{_mm256_add_pd, _mm256_mul_pd};
 
     use crate::panel::LANE_CHUNK;
 
@@ -631,321 +700,6 @@ pub(crate) mod avx2 {
             k += 1;
         }
     }
-
-    // ---- f32 arms: 8 single-precision lanes per 256-bit vector, so one ----
-    // ---- vector covers a whole LANE_CHUNK — twice the f64 throughput.  ----
-
-    simd_fn! {
-        /// `acc + a·x` per f32 lane, rounding exactly like
-        /// [`crate::simd::madd_f32`].
-        #[inline]
-        unsafe fn vmadd_f32(a: __m256, x: __m256, acc: __m256) -> __m256 {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_ps(acc, _mm256_mul_ps(a, x))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_ps(a, x, acc)
-            }
-        }
-    }
-
-    simd_fn! {
-        /// `acc + a·x + b·y` per f32 lane, rounding exactly like
-        /// [`crate::simd::madd2_f32`].
-        #[inline]
-        unsafe fn vmadd2_f32(a: __m256, x: __m256, b: __m256, y: __m256, acc: __m256) -> __m256 {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_ps(acc, _mm256_add_ps(_mm256_mul_ps(a, x), _mm256_mul_ps(b, y)))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_ps(a, x, _mm256_fmadd_ps(b, y, acc))
-            }
-        }
-    }
-
-    /// The f32 [`mul_chunks`]: one 8-lane vector per [`LANE_CHUNK`] chunk,
-    /// [`ROW_BLOCK`] output rows per pass (4 accumulators, half the register
-    /// budget of the f64 path's low/high pairs).
-    ///
-    /// # Safety
-    ///
-    /// As for [`mul_chunks`], with every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(crate) unsafe fn mul_chunks_f32(
-        a: &[f32],
-        bias: Option<&[f32]>,
-        x: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        debug_assert!(a.len() >= m * n && x.len() >= n * lanes && out.len() >= m * lanes);
-        let ap = a.as_ptr();
-        let xp = x.as_ptr();
-        let op = out.as_mut_ptr();
-        let bias_at = |i: usize| bias.map_or(0.0, |b| b[i]);
-        let mut off = 0;
-        while off < full {
-            let mut i = 0;
-            while i + ROW_BLOCK <= m {
-                let mut acc = [_mm256_set1_ps(0.0); ROW_BLOCK];
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_set1_ps(bias_at(i + r));
-                }
-                for j in 0..n {
-                    let xv = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    for (r, slot) in acc.iter_mut().enumerate() {
-                        let va = _mm256_set1_ps(*ap.add((i + r) * n + j));
-                        *slot = vmadd_f32(va, xv, *slot);
-                    }
-                }
-                for (r, slot) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(op.add((i + r) * lanes + off), *slot);
-                }
-                i += ROW_BLOCK;
-            }
-            while i < m {
-                let mut acc = _mm256_set1_ps(bias_at(i));
-                for j in 0..n {
-                    let va = _mm256_set1_ps(*ap.add(i * n + j));
-                    acc = vmadd_f32(va, _mm256_loadu_ps(xp.add(j * lanes + off)), acc);
-                }
-                _mm256_storeu_ps(op.add(i * lanes + off), acc);
-                i += 1;
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`affine_chunks`]: one 8-lane vector per [`LANE_CHUNK`]
-    /// chunk, [`ROW_BLOCK`] output rows per pass.
-    ///
-    /// # Safety
-    ///
-    /// As for [`affine_chunks`], with every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(crate) unsafe fn affine_chunks_f32(
-        a: &[f32],
-        b: &[f32],
-        bias: Option<&[f32]>,
-        x: &[f32],
-        y: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        debug_assert!(a.len() >= m * n && b.len() >= m * n);
-        debug_assert!(x.len() >= n * lanes && y.len() >= n * lanes && out.len() >= m * lanes);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let op = out.as_mut_ptr();
-        let bias_at = |i: usize| bias.map_or(0.0, |b| b[i]);
-        let mut off = 0;
-        while off < full {
-            let mut i = 0;
-            while i + ROW_BLOCK <= m {
-                let mut acc = [_mm256_set1_ps(0.0); ROW_BLOCK];
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_set1_ps(bias_at(i + r));
-                }
-                for j in 0..n {
-                    let xv = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let yv = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    for (r, slot) in acc.iter_mut().enumerate() {
-                        let va = _mm256_set1_ps(*ap.add((i + r) * n + j));
-                        let vb = _mm256_set1_ps(*bp.add((i + r) * n + j));
-                        *slot = vmadd2_f32(va, xv, vb, yv, *slot);
-                    }
-                }
-                for (r, slot) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(op.add((i + r) * lanes + off), *slot);
-                }
-                i += ROW_BLOCK;
-            }
-            while i < m {
-                let mut acc = _mm256_set1_ps(bias_at(i));
-                for j in 0..n {
-                    let va = _mm256_set1_ps(*ap.add(i * n + j));
-                    let vb = _mm256_set1_ps(*bp.add(i * n + j));
-                    let xv = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let yv = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    acc = vmadd2_f32(va, xv, vb, yv, acc);
-                }
-                _mm256_storeu_ps(op.add(i * lanes + off), acc);
-                i += 1;
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`affine_panel_chunks`]: one 8-lane vector per [`LANE_CHUNK`]
-    /// chunk, [`ROW_BLOCK`] output rows per pass, accumulators initialised by
-    /// vector loads of the `m × lanes` bias panel.
-    ///
-    /// # Safety
-    ///
-    /// As for [`affine_panel_chunks`], with every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(crate) unsafe fn affine_panel_chunks_f32(
-        a: &[f32],
-        b: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        y: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        debug_assert!(a.len() >= m * n && b.len() >= m * n && bias.len() >= m * lanes);
-        debug_assert!(x.len() >= n * lanes && y.len() >= n * lanes && out.len() >= m * lanes);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = bias.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut off = 0;
-        // Two-chunk pass: each coefficient broadcast feeds both chunks'
-        // FMAs, halving the broadcast traffic that dominates this kernel at
-        // narrow panel widths (at 16 f32 lanes a row is just two vectors, so
-        // per-chunk broadcasting would re-load every `a`/`b` entry twice).
-        // Per-lane operation order is untouched — a lane still sees bias,
-        // then the `a`-term before the `b`-term for each `j` in order.
-        while off + 2 * LANE_CHUNK <= full {
-            let mut i = 0;
-            while i + ROW_BLOCK <= m {
-                let mut acc0 = [_mm256_set1_ps(0.0); ROW_BLOCK];
-                let mut acc1 = [_mm256_set1_ps(0.0); ROW_BLOCK];
-                for r in 0..ROW_BLOCK {
-                    acc0[r] = _mm256_loadu_ps(cp.add((i + r) * lanes + off));
-                    acc1[r] = _mm256_loadu_ps(cp.add((i + r) * lanes + off + LANE_CHUNK));
-                }
-                for j in 0..n {
-                    let xv0 = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let xv1 = _mm256_loadu_ps(xp.add(j * lanes + off + LANE_CHUNK));
-                    let yv0 = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    let yv1 = _mm256_loadu_ps(yp.add(j * lanes + off + LANE_CHUNK));
-                    for r in 0..ROW_BLOCK {
-                        let va = _mm256_set1_ps(*ap.add((i + r) * n + j));
-                        let vb = _mm256_set1_ps(*bp.add((i + r) * n + j));
-                        acc0[r] = vmadd2_f32(va, xv0, vb, yv0, acc0[r]);
-                        acc1[r] = vmadd2_f32(va, xv1, vb, yv1, acc1[r]);
-                    }
-                }
-                for r in 0..ROW_BLOCK {
-                    _mm256_storeu_ps(op.add((i + r) * lanes + off), acc0[r]);
-                    _mm256_storeu_ps(op.add((i + r) * lanes + off + LANE_CHUNK), acc1[r]);
-                }
-                i += ROW_BLOCK;
-            }
-            while i < m {
-                let mut acc0 = _mm256_loadu_ps(cp.add(i * lanes + off));
-                let mut acc1 = _mm256_loadu_ps(cp.add(i * lanes + off + LANE_CHUNK));
-                for j in 0..n {
-                    let va = _mm256_set1_ps(*ap.add(i * n + j));
-                    let vb = _mm256_set1_ps(*bp.add(i * n + j));
-                    let xv0 = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let xv1 = _mm256_loadu_ps(xp.add(j * lanes + off + LANE_CHUNK));
-                    let yv0 = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    let yv1 = _mm256_loadu_ps(yp.add(j * lanes + off + LANE_CHUNK));
-                    acc0 = vmadd2_f32(va, xv0, vb, yv0, acc0);
-                    acc1 = vmadd2_f32(va, xv1, vb, yv1, acc1);
-                }
-                _mm256_storeu_ps(op.add(i * lanes + off), acc0);
-                _mm256_storeu_ps(op.add(i * lanes + off + LANE_CHUNK), acc1);
-                i += 1;
-            }
-            off += 2 * LANE_CHUNK;
-        }
-        while off < full {
-            let mut i = 0;
-            while i + ROW_BLOCK <= m {
-                let mut acc = [_mm256_set1_ps(0.0); ROW_BLOCK];
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(cp.add((i + r) * lanes + off));
-                }
-                for j in 0..n {
-                    let xv = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let yv = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    for (r, slot) in acc.iter_mut().enumerate() {
-                        let va = _mm256_set1_ps(*ap.add((i + r) * n + j));
-                        let vb = _mm256_set1_ps(*bp.add((i + r) * n + j));
-                        *slot = vmadd2_f32(va, xv, vb, yv, *slot);
-                    }
-                }
-                for (r, slot) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(op.add((i + r) * lanes + off), *slot);
-                }
-                i += ROW_BLOCK;
-            }
-            while i < m {
-                let mut acc = _mm256_loadu_ps(cp.add(i * lanes + off));
-                for j in 0..n {
-                    let va = _mm256_set1_ps(*ap.add(i * n + j));
-                    let vb = _mm256_set1_ps(*bp.add(i * n + j));
-                    let xv = _mm256_loadu_ps(xp.add(j * lanes + off));
-                    let yv = _mm256_loadu_ps(yp.add(j * lanes + off));
-                    acc = vmadd2_f32(va, xv, vb, yv, acc);
-                }
-                _mm256_storeu_ps(op.add(i * lanes + off), acc);
-                i += 1;
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`fused_mul_add_span`]: 8-wide vector body plus a scalar tail
-    /// that rounds identically.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; the slices
-    /// must agree in length (checked by the dispatching caller).
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(crate) unsafe fn fused_mul_add_span_f32(
-        base: &[f32],
-        coef: &[f32],
-        cur: &[f32],
-        out: &mut [f32],
-    ) {
-        let len = out.len();
-        let mut k = 0;
-        while k + 8 <= len {
-            let v = vmadd_f32(
-                _mm256_loadu_ps(coef.as_ptr().add(k)),
-                _mm256_loadu_ps(cur.as_ptr().add(k)),
-                _mm256_loadu_ps(base.as_ptr().add(k)),
-            );
-            _mm256_storeu_ps(out.as_mut_ptr().add(k), v);
-            k += 8;
-        }
-        while k < len {
-            out[k] = crate::simd::madd_f32(coef[k], cur[k], base[k]);
-            k += 1;
-        }
-    }
 }
 
 /// NEON (aarch64) arm: 128-bit vectors, 2 f64 each, a [`crate::LANE_CHUNK`]
@@ -953,20 +707,16 @@ pub(crate) mod avx2 {
 /// [`madd2`] primitives in both the default and `fma` builds.
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
-    use core::arch::aarch64::{
-        float32x4_t, float64x2_t, vaddq_f32, vaddq_f64, vdupq_n_f32, vdupq_n_f64, vld1q_f32,
-        vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64,
-    };
     #[cfg(feature = "fma")]
-    use core::arch::aarch64::{vfmaq_f32, vfmaq_f64};
+    use core::arch::aarch64::vfmaq_f64;
+    use core::arch::aarch64::{
+        float64x2_t, vaddq_f64, vdupq_n_f64, vld1q_f64, vmulq_f64, vst1q_f64,
+    };
 
     use crate::panel::LANE_CHUNK;
 
     /// Vectors per lane chunk (8 lanes / 2 f64 per vector).
     const CHUNK_VECS: usize = LANE_CHUNK / 2;
-
-    /// f32 vectors per lane chunk (8 lanes / 4 f32 per vector).
-    const CHUNK_VECS_F32: usize = LANE_CHUNK / 4;
 
     /// `acc + a·x` per lane (see the scalar [`crate::simd::madd`]).
     #[target_feature(enable = "neon")]
@@ -1244,286 +994,6 @@ pub(crate) mod neon {
             k += 1;
         }
     }
-
-    // ---- f32 arms: 4 single-precision lanes per 128-bit vector, two ----
-    // ---- vectors per LANE_CHUNK — twice the f64 throughput.         ----
-
-    /// `acc + a·x` per f32 lane (see the scalar [`crate::simd::madd_f32`]).
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn vmadd_f32(a: float32x4_t, x: float32x4_t, acc: float32x4_t) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vmulq_f32(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(acc, a, x)
-        }
-    }
-
-    /// `acc + a·x + b·y` per f32 lane (see [`crate::simd::madd2_f32`]).
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn vmadd2_f32(
-        a: float32x4_t,
-        x: float32x4_t,
-        b: float32x4_t,
-        y: float32x4_t,
-        acc: float32x4_t,
-    ) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vaddq_f32(vmulq_f32(a, x), vmulq_f32(b, y)))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(vfmaq_f32(acc, b, y), a, x)
-        }
-    }
-
-    /// The f32 [`mul_chunks`]: two 4-lane vectors per chunk, two output rows
-    /// per pass.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; layout contract as in [`mul_chunks`], with
-    /// every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn mul_chunks_f32(
-        a: &[f32],
-        bias: Option<&[f32]>,
-        x: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        let ap = a.as_ptr();
-        let xp = x.as_ptr();
-        let op = out.as_mut_ptr();
-        let bias_at = |i: usize| bias.map_or(0.0, |b| b[i]);
-        let mut off = 0;
-        while off < full {
-            let mut i = 0;
-            while i + 2 <= m {
-                let mut acc0 = [vdupq_n_f32(bias_at(i)); CHUNK_VECS_F32];
-                let mut acc1 = [vdupq_n_f32(bias_at(i + 1)); CHUNK_VECS_F32];
-                for j in 0..n {
-                    let va0 = vdupq_n_f32(*ap.add(i * n + j));
-                    let va1 = vdupq_n_f32(*ap.add((i + 1) * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        acc0[v] = vmadd_f32(va0, xv, acc0[v]);
-                        acc1[v] = vmadd_f32(va1, xv, acc1[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc0[v]);
-                    vst1q_f32(op.add((i + 1) * lanes + off + 4 * v), acc1[v]);
-                }
-                i += 2;
-            }
-            if i < m {
-                let mut acc = [vdupq_n_f32(bias_at(i)); CHUNK_VECS_F32];
-                for j in 0..n {
-                    let va = vdupq_n_f32(*ap.add(i * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        acc[v] = vmadd_f32(va, xv, acc[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc[v]);
-                }
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`affine_chunks`]: two 4-lane vectors per chunk, two output
-    /// rows per pass.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; layout contract as in [`affine_chunks`], with
-    /// every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn affine_chunks_f32(
-        a: &[f32],
-        b: &[f32],
-        bias: Option<&[f32]>,
-        x: &[f32],
-        y: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let op = out.as_mut_ptr();
-        let bias_at = |i: usize| bias.map_or(0.0, |b| b[i]);
-        let mut off = 0;
-        while off < full {
-            let mut i = 0;
-            while i + 2 <= m {
-                let mut acc0 = [vdupq_n_f32(bias_at(i)); CHUNK_VECS_F32];
-                let mut acc1 = [vdupq_n_f32(bias_at(i + 1)); CHUNK_VECS_F32];
-                for j in 0..n {
-                    let va0 = vdupq_n_f32(*ap.add(i * n + j));
-                    let va1 = vdupq_n_f32(*ap.add((i + 1) * n + j));
-                    let vb0 = vdupq_n_f32(*bp.add(i * n + j));
-                    let vb1 = vdupq_n_f32(*bp.add((i + 1) * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        let yv = vld1q_f32(yp.add(j * lanes + off + 4 * v));
-                        acc0[v] = vmadd2_f32(va0, xv, vb0, yv, acc0[v]);
-                        acc1[v] = vmadd2_f32(va1, xv, vb1, yv, acc1[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc0[v]);
-                    vst1q_f32(op.add((i + 1) * lanes + off + 4 * v), acc1[v]);
-                }
-                i += 2;
-            }
-            if i < m {
-                let mut acc = [vdupq_n_f32(bias_at(i)); CHUNK_VECS_F32];
-                for j in 0..n {
-                    let va = vdupq_n_f32(*ap.add(i * n + j));
-                    let vb = vdupq_n_f32(*bp.add(i * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        let yv = vld1q_f32(yp.add(j * lanes + off + 4 * v));
-                        acc[v] = vmadd2_f32(va, xv, vb, yv, acc[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc[v]);
-                }
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`affine_panel_chunks`]: two 4-lane vectors per chunk, two
-    /// output rows per pass, accumulators initialised by vector loads of the
-    /// `m × lanes` bias panel.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; layout contract as in [`affine_panel_chunks`],
-    /// with every slice in f32.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn affine_panel_chunks_f32(
-        a: &[f32],
-        b: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        y: &[f32],
-        out: &mut [f32],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) {
-        debug_assert!(full <= lanes && full.is_multiple_of(LANE_CHUNK));
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = bias.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut off = 0;
-        while off < full {
-            let mut i = 0;
-            while i + 2 <= m {
-                let mut acc0 = [vdupq_n_f32(0.0); CHUNK_VECS_F32];
-                let mut acc1 = [vdupq_n_f32(0.0); CHUNK_VECS_F32];
-                for v in 0..CHUNK_VECS_F32 {
-                    acc0[v] = vld1q_f32(cp.add(i * lanes + off + 4 * v));
-                    acc1[v] = vld1q_f32(cp.add((i + 1) * lanes + off + 4 * v));
-                }
-                for j in 0..n {
-                    let va0 = vdupq_n_f32(*ap.add(i * n + j));
-                    let va1 = vdupq_n_f32(*ap.add((i + 1) * n + j));
-                    let vb0 = vdupq_n_f32(*bp.add(i * n + j));
-                    let vb1 = vdupq_n_f32(*bp.add((i + 1) * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        let yv = vld1q_f32(yp.add(j * lanes + off + 4 * v));
-                        acc0[v] = vmadd2_f32(va0, xv, vb0, yv, acc0[v]);
-                        acc1[v] = vmadd2_f32(va1, xv, vb1, yv, acc1[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc0[v]);
-                    vst1q_f32(op.add((i + 1) * lanes + off + 4 * v), acc1[v]);
-                }
-                i += 2;
-            }
-            if i < m {
-                let mut acc = [vdupq_n_f32(0.0); CHUNK_VECS_F32];
-                for v in 0..CHUNK_VECS_F32 {
-                    acc[v] = vld1q_f32(cp.add(i * lanes + off + 4 * v));
-                }
-                for j in 0..n {
-                    let va = vdupq_n_f32(*ap.add(i * n + j));
-                    let vb = vdupq_n_f32(*bp.add(i * n + j));
-                    for v in 0..CHUNK_VECS_F32 {
-                        let xv = vld1q_f32(xp.add(j * lanes + off + 4 * v));
-                        let yv = vld1q_f32(yp.add(j * lanes + off + 4 * v));
-                        acc[v] = vmadd2_f32(va, xv, vb, yv, acc[v]);
-                    }
-                }
-                for v in 0..CHUNK_VECS_F32 {
-                    vst1q_f32(op.add(i * lanes + off + 4 * v), acc[v]);
-                }
-            }
-            off += LANE_CHUNK;
-        }
-    }
-
-    /// The f32 [`fused_mul_add_span`]: 4-wide vector body plus a scalar tail
-    /// that rounds identically.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; the slices must agree in length (checked by
-    /// the dispatching caller).
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn fused_mul_add_span_f32(
-        base: &[f32],
-        coef: &[f32],
-        cur: &[f32],
-        out: &mut [f32],
-    ) {
-        let len = out.len();
-        let mut k = 0;
-        while k + 4 <= len {
-            let v = vmadd_f32(
-                vld1q_f32(coef.as_ptr().add(k)),
-                vld1q_f32(cur.as_ptr().add(k)),
-                vld1q_f32(base.as_ptr().add(k)),
-            );
-            vst1q_f32(out.as_mut_ptr().add(k), v);
-            k += 4;
-        }
-        while k < len {
-            out[k] = crate::simd::madd_f32(coef[k], cur[k], base[k]);
-            k += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1587,26 +1057,6 @@ mod tests {
     fn fused_span_rejects_mismatched_lengths() {
         let mut out = [0.0; 2];
         fused_mul_add_span(&[1.0], &[1.0], &[1.0], &mut out);
-    }
-
-    #[test]
-    fn f32_fused_span_arms_are_bit_identical() {
-        let len = 37;
-        let base: Vec<f32> = (0..len).map(|k| 0.3 + k as f32 * 0.07).collect();
-        let coef: Vec<f32> = (0..len).map(|k| (k as f32 * 0.31).sin()).collect();
-        let cur: Vec<f32> = (0..len).map(|k| 0.9 + (k as f32 * 0.17).cos()).collect();
-        let mut scalar = vec![0.0f32; len];
-        fused_mul_add_span_elem_with(PanelKernel::Scalar, &base, &coef, &cur, &mut scalar);
-        for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-            if !kernel.is_available() {
-                continue;
-            }
-            let mut wide = vec![0.0f32; len];
-            fused_mul_add_span_elem_with(kernel, &base, &coef, &cur, &mut wide);
-            for (k, (a, b)) in scalar.iter().zip(&wide).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel:?} index {k}");
-            }
-        }
     }
 
     /// Runs `f`, returning the panic payload's message (panics if `f` does

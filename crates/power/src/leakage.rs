@@ -11,7 +11,7 @@
 //! (Figures 4.1–4.3). Leakage *power* is the supply voltage times the leakage
 //! current.
 
-use numeric::simd::{madd, madd_f32, PanelKernel};
+use numeric::simd::{madd, PanelKernel};
 use numeric::{levenberg_marquardt, FitOptions, Vector};
 use serde::{Deserialize, Serialize};
 use soc_model::Voltage;
@@ -424,13 +424,12 @@ fn exp_delta(d: f64) -> f64 {
 /// accumulate).
 #[cfg(target_arch = "x86_64")]
 mod leak_avx2 {
-    use core::arch::x86_64::{
-        __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_div_pd, _mm256_div_ps,
-        _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd,
-        _mm256_set1_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps,
-    };
     #[cfg(feature = "fma")]
-    use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_fmadd_ps};
+    use core::arch::x86_64::_mm256_fmadd_pd;
+    use core::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
+    };
 
     /// `acc + a·x` per lane, rounding exactly like `numeric::simd::madd`.
     #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
@@ -523,180 +522,17 @@ mod leak_avx2 {
             k += 4;
         }
     }
-
-    /// `acc + a·x` per f32 lane, rounding exactly like
-    /// `numeric::simd::madd_f32`.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    #[inline]
-    unsafe fn vmadd_f32(a: __m256, x: __m256, acc: __m256) -> __m256 {
-        #[cfg(not(feature = "fma"))]
-        {
-            _mm256_add_ps(acc, _mm256_mul_ps(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            _mm256_fmadd_ps(a, x, acc)
-        }
-    }
-
-    /// The f32 vector body of `currents_span_with_f32` over cells
-    /// `[0, vec_len)` (`vec_len` a multiple of 8): 8 cells per vector with
-    /// two divide chains in flight per pass, mirroring [`span`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; every slice
-    /// must cover at least `vec_len` cells.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(super) unsafe fn span_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        temps_c: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        // One vector's worth (8 cells) of the per-cell f32 pipeline,
-        // operation order identical to `leak_cell_f32` per lane.
-        #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-        #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn cell8(
-            c1: &[f32],
-            c2: &[f32],
-            igate: &[f32],
-            a0: &[f32],
-            e0: &[f32],
-            temps_c: &[f32],
-            out: &mut [f32],
-            k: usize,
-        ) {
-            let kelvin = _mm256_set1_ps(273.15);
-            let one = _mm256_set1_ps(1.0);
-            let c3 = _mm256_set1_ps(1.0 / 6.0);
-            let half = _mm256_set1_ps(0.5);
-            let c4 = _mm256_set1_ps(1.0 / 24.0);
-            let t = _mm256_add_ps(_mm256_loadu_ps(temps_c.as_ptr().add(k)), kelvin);
-            let d = _mm256_sub_ps(
-                _mm256_div_ps(_mm256_loadu_ps(c2.as_ptr().add(k)), t),
-                _mm256_loadu_ps(a0.as_ptr().add(k)),
-            );
-            let d2 = _mm256_mul_ps(d, d);
-            let p01 = _mm256_add_ps(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = _mm256_mul_ps(_mm256_loadu_ps(e0.as_ptr().add(k)), expd);
-            let pre = _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, _mm256_loadu_ps(igate.as_ptr().add(k)));
-            _mm256_storeu_ps(out.as_mut_ptr().add(k), i);
-        }
-
-        let mut k = 0;
-        while k + 16 <= vec_len {
-            cell8(c1, c2, igate, a0, e0, temps_c, out, k);
-            cell8(c1, c2, igate, a0, e0, temps_c, out, k + 8);
-            k += 16;
-        }
-        while k < vec_len {
-            cell8(c1, c2, igate, a0, e0, temps_c, out, k);
-            k += 8;
-        }
-    }
-
-    /// Gathered f32 row span over cells `[0, vec_len)` (`vec_len` a multiple
-    /// of 8): the temperature is reconstructed on the fly as `t0 + dx` — the
-    /// same single f32 add a separate gather pass would perform — before the
-    /// per-cell pipeline of [`span_f32`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; every slice
-    /// must cover at least `vec_len` cells.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-    pub(super) unsafe fn span_gathered_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        t0: &[f32],
-        dx: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        // One vector's worth (8 cells), identical to `span_f32`'s `cell8`
-        // except the temperature load is the two-panel sum.
-        #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-        #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn cell8(
-            c1: &[f32],
-            c2: &[f32],
-            igate: &[f32],
-            a0: &[f32],
-            e0: &[f32],
-            t0: &[f32],
-            dx: &[f32],
-            out: &mut [f32],
-            k: usize,
-        ) {
-            let kelvin = _mm256_set1_ps(273.15);
-            let one = _mm256_set1_ps(1.0);
-            let c3 = _mm256_set1_ps(1.0 / 6.0);
-            let half = _mm256_set1_ps(0.5);
-            let c4 = _mm256_set1_ps(1.0 / 24.0);
-            let temp = _mm256_add_ps(
-                _mm256_loadu_ps(t0.as_ptr().add(k)),
-                _mm256_loadu_ps(dx.as_ptr().add(k)),
-            );
-            let t = _mm256_add_ps(temp, kelvin);
-            let d = _mm256_sub_ps(
-                _mm256_div_ps(_mm256_loadu_ps(c2.as_ptr().add(k)), t),
-                _mm256_loadu_ps(a0.as_ptr().add(k)),
-            );
-            let d2 = _mm256_mul_ps(d, d);
-            let p01 = _mm256_add_ps(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = _mm256_mul_ps(_mm256_loadu_ps(e0.as_ptr().add(k)), expd);
-            let pre = _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, _mm256_loadu_ps(igate.as_ptr().add(k)));
-            _mm256_storeu_ps(out.as_mut_ptr().add(k), i);
-        }
-
-        let mut k = 0;
-        while k + 16 <= vec_len {
-            cell8(c1, c2, igate, a0, e0, t0, dx, out, k);
-            cell8(c1, c2, igate, a0, e0, t0, dx, out, k + 8);
-            k += 16;
-        }
-        while k < vec_len {
-            cell8(c1, c2, igate, a0, e0, t0, dx, out, k);
-            k += 8;
-        }
-    }
 }
 
 /// NEON arm of the leakage span: 2 cells per vector, operation order
 /// identical to [`leak_cell`] per lane.
 #[cfg(target_arch = "aarch64")]
 mod leak_neon {
-    use core::arch::aarch64::{
-        float32x4_t, float64x2_t, vaddq_f32, vaddq_f64, vdivq_f32, vdivq_f64, vdupq_n_f32,
-        vdupq_n_f64, vld1q_f32, vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64, vsubq_f32,
-        vsubq_f64,
-    };
     #[cfg(feature = "fma")]
-    use core::arch::aarch64::{vfmaq_f32, vfmaq_f64};
+    use core::arch::aarch64::vfmaq_f64;
+    use core::arch::aarch64::{
+        float64x2_t, vaddq_f64, vdivq_f64, vdupq_n_f64, vld1q_f64, vmulq_f64, vst1q_f64, vsubq_f64,
+    };
 
     /// `acc + a·x` per lane, rounding exactly like `numeric::simd::madd`.
     #[target_feature(enable = "neon")]
@@ -759,488 +595,6 @@ mod leak_neon {
             k += 2;
         }
     }
-
-    /// `acc + a·x` per f32 lane, rounding exactly like
-    /// `numeric::simd::madd_f32`.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn vmadd_f32(a: float32x4_t, x: float32x4_t, acc: float32x4_t) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vmulq_f32(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(acc, a, x)
-        }
-    }
-
-    /// The f32 vector body of `currents_span_with_f32` over cells
-    /// `[0, vec_len)` (`vec_len` a multiple of 4): 4 cells per vector,
-    /// operation order identical to `leak_cell_f32` per lane.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; every slice must cover at least `vec_len`
-    /// cells.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn span_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        temps_c: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        let kelvin = vdupq_n_f32(273.15);
-        let one = vdupq_n_f32(1.0);
-        let c3 = vdupq_n_f32(1.0 / 6.0);
-        let half = vdupq_n_f32(0.5);
-        let c4 = vdupq_n_f32(1.0 / 24.0);
-        let mut k = 0;
-        while k < vec_len {
-            let t = vaddq_f32(vld1q_f32(temps_c.as_ptr().add(k)), kelvin);
-            let d = vsubq_f32(
-                vdivq_f32(vld1q_f32(c2.as_ptr().add(k)), t),
-                vld1q_f32(a0.as_ptr().add(k)),
-            );
-            let d2 = vmulq_f32(d, d);
-            let p01 = vaddq_f32(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = vmulq_f32(vld1q_f32(e0.as_ptr().add(k)), expd);
-            let pre = vmulq_f32(vmulq_f32(vld1q_f32(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, vld1q_f32(igate.as_ptr().add(k)));
-            vst1q_f32(out.as_mut_ptr().add(k), i);
-            k += 4;
-        }
-    }
-
-    /// Gathered f32 row span over cells `[0, vec_len)` (`vec_len` a multiple
-    /// of 4): the temperature is reconstructed on the fly as `t0 + dx` — the
-    /// same single f32 add a separate gather pass would perform — before the
-    /// per-cell pipeline of [`span_f32`].
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; every slice must cover at least `vec_len`
-    /// cells.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn span_gathered_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        t0: &[f32],
-        dx: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        let kelvin = vdupq_n_f32(273.15);
-        let one = vdupq_n_f32(1.0);
-        let c3 = vdupq_n_f32(1.0 / 6.0);
-        let half = vdupq_n_f32(0.5);
-        let c4 = vdupq_n_f32(1.0 / 24.0);
-        let mut k = 0;
-        while k < vec_len {
-            let temp = vaddq_f32(vld1q_f32(t0.as_ptr().add(k)), vld1q_f32(dx.as_ptr().add(k)));
-            let t = vaddq_f32(temp, kelvin);
-            let d = vsubq_f32(
-                vdivq_f32(vld1q_f32(c2.as_ptr().add(k)), t),
-                vld1q_f32(a0.as_ptr().add(k)),
-            );
-            let d2 = vmulq_f32(d, d);
-            let p01 = vaddq_f32(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = vmulq_f32(vld1q_f32(e0.as_ptr().add(k)), expd);
-            let pre = vmulq_f32(vmulq_f32(vld1q_f32(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, vld1q_f32(igate.as_ptr().add(k)));
-            vst1q_f32(out.as_mut_ptr().add(k), i);
-            k += 4;
-        }
-    }
-}
-
-/// Single-precision variant of [`LeakagePanel`] for the mixed-precision
-/// batch engine: f32 storage and f32 inter-anchor spans, with the anchor
-/// itself — the one numerically delicate step — still computed in f64.
-///
-/// Each re-anchor evaluates `a0 = c2/T` in f64 (using an f64 copy of `c2`
-/// kept alongside the f32 coefficients) and advances an f64 shadow of the
-/// anchor exponential incrementally — `e0 ·= e^Δa` through the degree-7
-/// drift polynomial, with a true `libm` `exp` fallback for large anchor
-/// moves (see [`LeakagePanelF32::anchor_all`]) — then demotes the results
-/// once, so f32 rounding never compounds through the exponential. Between
-/// anchors the drift `|a − a0|` stays below ~0.1 over
-/// the doubled horizon (see [`LeakagePanelF32::REANCHOR_STEPS`]), where a
-/// *degree-4* polynomial has truncation error `0.1⁵/5! ≈ 8.3e-8` — below
-/// f32 epsilon (~1.2e-7), which is the real precision floor of the span.
-/// Relative current error versus the f64 panel is therefore a few f32 ulps,
-/// well inside the mixed-precision engine's ≤ 1e-3 °C trajectory budget.
-///
-/// The AVX2 arm evaluates 8 cells per vector (twice the f64 arm's 4) and
-/// the NEON arm 4; every arm performs the same per-cell f32 operation
-/// sequence as the scalar reference, so arms are bit-identical to each
-/// other exactly like the f64 panel's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeakagePanelF32 {
-    rows: usize,
-    lanes: usize,
-    c1: Vec<f32>,
-    c2: Vec<f32>,
-    igate: Vec<f32>,
-    /// f64 copy of `c2` used only at re-anchor time, so the anchor argument
-    /// is exact.
-    c2_anchor: Vec<f64>,
-    /// Anchor argument `a0 = c2 / T_anchor` per cell, demoted from f64.
-    a0: Vec<f32>,
-    /// Anchor exponential `e^(a0)` per cell, demoted from f64 `libm` `exp`.
-    e0: Vec<f32>,
-    /// f64 shadow of `a0`, kept so re-anchoring can measure the exact drift
-    /// since the previous anchor.
-    a0_anchor: Vec<f64>,
-    /// f64 shadow of `e0`, maintained incrementally across re-anchors
-    /// (`e0 ·= e^Δa` via the f64 drift polynomial) so the `libm` exponential
-    /// is only paid when a cell's anchor moves far.
-    e0_anchor: Vec<f64>,
-}
-
-impl LeakagePanelF32 {
-    /// Anchor validity horizon — twice the f64 panel's, because the f32 span
-    /// has precision to spare: over 32 micro-steps the drift stays
-    /// `|a − a0| ≲ 0.1` (double the f64 panel's per-16-step budget), where
-    /// the degree-4 polynomial's truncation error `0.1⁵/5! ≈ 8.3e-8` is
-    /// still below f32 epsilon (~1.2e-7) — the span's precision floor. The
-    /// f64 anchor (a `libm` exponential per cell) is the panel's costliest
-    /// amortised step, so doubling the horizon halves it.
-    pub const REANCHOR_STEPS: usize = 2 * LeakagePanel::REANCHOR_STEPS;
-
-    /// Creates a `rows × lanes` panel with every cell set to `model`,
-    /// anchored (in f64, then demoted) at `anchor_temp_c`. See
-    /// [`LeakagePanel::filled`] for the always-anchored rationale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` or `lanes` is zero or `anchor_temp_c` is not finite.
-    pub fn filled(rows: usize, lanes: usize, model: &LeakageModel, anchor_temp_c: f64) -> Self {
-        assert!(rows > 0 && lanes > 0, "panel dimensions must be non-zero");
-        assert!(
-            anchor_temp_c.is_finite(),
-            "anchor temperature must be finite"
-        );
-        let n = rows * lanes;
-        let a = model.params.c2 / celsius_to_kelvin(anchor_temp_c);
-        LeakagePanelF32 {
-            rows,
-            lanes,
-            c1: vec![model.params.c1 as f32; n],
-            c2: vec![model.params.c2 as f32; n],
-            igate: vec![model.params.igate_a as f32; n],
-            c2_anchor: vec![model.params.c2; n],
-            a0: vec![a as f32; n],
-            e0: vec![a.exp() as f32; n],
-            a0_anchor: vec![a; n],
-            e0_anchor: vec![a.exp(); n],
-        }
-    }
-
-    /// Number of domain rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of scenario lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Sets the leakage model of cell `(row, lane)` and immediately anchors
-    /// it at `anchor_temp_c` (f64 anchor, demoted). See
-    /// [`LeakagePanel::set_model`] for the mid-sweep admission rationale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `lane` is out of bounds or `anchor_temp_c` is not
-    /// finite.
-    pub fn set_model(&mut self, row: usize, lane: usize, model: &LeakageModel, anchor_temp_c: f64) {
-        assert!(
-            row < self.rows && lane < self.lanes,
-            "panel index out of bounds"
-        );
-        assert!(
-            anchor_temp_c.is_finite(),
-            "anchor temperature must be finite"
-        );
-        let k = row * self.lanes + lane;
-        self.c1[k] = model.params.c1 as f32;
-        self.c2[k] = model.params.c2 as f32;
-        self.igate[k] = model.params.igate_a as f32;
-        self.c2_anchor[k] = model.params.c2;
-        let a = model.params.c2 / celsius_to_kelvin(anchor_temp_c);
-        self.a0[k] = a as f32;
-        self.e0[k] = a.exp() as f32;
-        self.a0_anchor[k] = a;
-        self.e0_anchor[k] = a.exp();
-    }
-
-    /// Re-anchors the whole panel at once; `temps_c` covers every cell in
-    /// row-major order (`rows × lanes`). The anchor argument is computed in
-    /// f64 (promoting each f32 temperature) and the f64 anchor exponential
-    /// is advanced *incrementally*: `e0 ·= e^Δa` with the drift `Δa` since
-    /// the previous anchor evaluated through the degree-7 f64 drift
-    /// polynomial (truncation ≤ `0.25⁸/8! ≈ 3.8e-10` relative at the
-    /// fallback threshold, and the product is carried in f64, so lifetime
-    /// accumulation stays orders of magnitude below f32 epsilon). A cell
-    /// whose anchor moved beyond the polynomial's range (`|Δa| > 0.25`,
-    /// e.g. across a large ambient step) falls back to a true `libm`
-    /// exponential — correct at any drift, just slower.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temps_c` does not cover every cell.
-    pub fn anchor_all(&mut self, temps_c: &[f32]) {
-        assert_eq!(temps_c.len(), self.rows * self.lanes, "anchor panel size");
-        for (k, &t) in temps_c.iter().enumerate() {
-            let a = self.c2_anchor[k] / celsius_to_kelvin(f64::from(t));
-            let d = a - self.a0_anchor[k];
-            self.e0_anchor[k] = if d.abs() <= 0.25 {
-                self.e0_anchor[k] * exp_delta(d)
-            } else {
-                a.exp()
-            };
-            self.a0_anchor[k] = a;
-            self.a0[k] = a as f32;
-            self.e0[k] = self.e0_anchor[k] as f32;
-        }
-    }
-
-    /// Evaluates the whole panel's leakage currents in one unit-stride f32
-    /// pass; `temps_c` and `out` cover every cell in row-major order. The
-    /// mixed-precision engine's per-micro-step call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not cover every cell.
-    #[inline]
-    pub fn currents_into(&self, temps_c: &[f32], out: &mut [f32]) {
-        self.currents_into_with(PanelKernel::active(), temps_c, out);
-    }
-
-    /// [`LeakagePanelF32::currents_into`] through an explicit [`PanelKernel`]
-    /// arm (testing/benching form; an unavailable kernel degrades to scalar).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not cover every cell.
-    #[inline]
-    pub fn currents_into_with(&self, kernel: PanelKernel, temps_c: &[f32], out: &mut [f32]) {
-        let cells = self.rows * self.lanes;
-        assert_eq!(temps_c.len(), cells, "temperature panel size");
-        assert_eq!(out.len(), cells, "output panel size");
-        currents_span_with_f32(
-            kernel,
-            &self.c1,
-            &self.c2,
-            &self.igate,
-            &self.a0,
-            &self.e0,
-            temps_c,
-            out,
-        );
-    }
-
-    /// Evaluates every cell's leakage current with the temperature
-    /// reconstructed on the fly as `t0[row_map[r]·lanes + l] + dx[…]`
-    /// instead of reading a pre-gathered panel — the mixed-precision
-    /// engine's non-anchor micro-step call, which skips materialising the
-    /// intermediate temperature panel entirely. The reconstruction performs
-    /// the same single f32 add a separate gather pass would, so the result
-    /// is bit-identical to gathering into a panel and calling
-    /// [`LeakagePanelF32::currents_into`].
-    ///
-    /// `t0` and `dx` are node-major panels of `lanes` columns (baseline and
-    /// deviation temperatures, summing to °C); `row_map[r]` names the node
-    /// whose temperature feeds leakage row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` differs from the panel's, `row_map` does not name a
-    /// node per row, `out` does not cover every cell, or a mapped node row
-    /// lies outside `t0`/`dx`.
-    #[inline]
-    pub fn currents_into_gathered(
-        &self,
-        t0: &[f32],
-        dx: &[f32],
-        lanes: usize,
-        row_map: &[usize],
-        out: &mut [f32],
-    ) {
-        self.currents_into_gathered_with(PanelKernel::active(), t0, dx, lanes, row_map, out);
-    }
-
-    /// [`LeakagePanelF32::currents_into_gathered`] through an explicit
-    /// [`PanelKernel`] arm (testing/benching form; an unavailable kernel
-    /// degrades to scalar).
-    ///
-    /// # Panics
-    ///
-    /// As [`LeakagePanelF32::currents_into_gathered`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn currents_into_gathered_with(
-        &self,
-        kernel: PanelKernel,
-        t0: &[f32],
-        dx: &[f32],
-        lanes: usize,
-        row_map: &[usize],
-        out: &mut [f32],
-    ) {
-        assert_eq!(lanes, self.lanes, "lane count mismatch");
-        assert_eq!(row_map.len(), self.rows, "row map must name a node per row");
-        assert_eq!(out.len(), self.rows * self.lanes, "output panel size");
-        #[cfg(debug_assertions)]
-        for k in 0..out.len() {
-            debug_assert!(
-                self.a0[k].is_finite() && self.e0[k].is_finite(),
-                "leakage cell {k} evaluated with an invalid anchor"
-            );
-        }
-        let kernel = if kernel.is_available() {
-            kernel
-        } else {
-            PanelKernel::Scalar
-        };
-        for (r, &node) in row_map.iter().enumerate() {
-            let start = node * lanes;
-            let tr = &t0[start..start + lanes];
-            let xr = &dx[start..start + lanes];
-            let pr = r * lanes;
-            let or = &mut out[pr..pr + lanes];
-            let c1 = &self.c1[pr..pr + lanes];
-            let c2 = &self.c2[pr..pr + lanes];
-            let igate = &self.igate[pr..pr + lanes];
-            let a0 = &self.a0[pr..pr + lanes];
-            let e0 = &self.e0[pr..pr + lanes];
-            let mut k = 0;
-            match kernel {
-                #[cfg(target_arch = "x86_64")]
-                PanelKernel::Avx2Fma => {
-                    let vec_len = lanes - lanes % 8;
-                    if vec_len > 0 {
-                        // SAFETY: availability was just checked; all slices
-                        // cover `lanes >= vec_len` cells.
-                        unsafe {
-                            leak_avx2::span_gathered_f32(c1, c2, igate, a0, e0, tr, xr, or, vec_len)
-                        };
-                    }
-                    k = vec_len;
-                }
-                #[cfg(target_arch = "aarch64")]
-                PanelKernel::Neon => {
-                    let vec_len = lanes - lanes % 4;
-                    if vec_len > 0 {
-                        // SAFETY: as above.
-                        unsafe {
-                            leak_neon::span_gathered_f32(c1, c2, igate, a0, e0, tr, xr, or, vec_len)
-                        };
-                    }
-                    k = vec_len;
-                }
-                _ => {}
-            }
-            while k < lanes {
-                or[k] = leak_cell_f32(c1[k], c2[k], igate[k], a0[k], e0[k], tr[k] + xr[k]);
-                k += 1;
-            }
-        }
-    }
-}
-
-/// f32 twin of [`currents_span_with`]: the vector arm (if requested and
-/// available) covers the full-vector prefix at f32 width — 8 cells per AVX2
-/// vector, 4 per NEON vector — and the scalar [`leak_cell_f32`] the tail.
-#[allow(clippy::too_many_arguments)]
-fn currents_span_with_f32(
-    kernel: PanelKernel,
-    c1: &[f32],
-    c2: &[f32],
-    igate: &[f32],
-    a0: &[f32],
-    e0: &[f32],
-    temps_c: &[f32],
-    out: &mut [f32],
-) {
-    let len = out.len();
-    #[cfg(debug_assertions)]
-    for k in 0..len {
-        debug_assert!(
-            a0[k].is_finite() && e0[k].is_finite(),
-            "leakage cell {k} evaluated with an invalid anchor"
-        );
-    }
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
-    let mut k = 0;
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        PanelKernel::Avx2Fma => {
-            let vec_len = len - len % 8;
-            if vec_len > 0 {
-                // SAFETY: availability was just checked; all slices cover
-                // `len >= vec_len` cells.
-                unsafe { leak_avx2::span_f32(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
-            }
-            k = vec_len;
-        }
-        #[cfg(target_arch = "aarch64")]
-        PanelKernel::Neon => {
-            let vec_len = len - len % 4;
-            if vec_len > 0 {
-                // SAFETY: as above.
-                unsafe { leak_neon::span_f32(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
-            }
-            k = vec_len;
-        }
-        _ => {}
-    }
-    while k < len {
-        out[k] = leak_cell_f32(c1[k], c2[k], igate[k], a0[k], e0[k], temps_c[k]);
-        k += 1;
-    }
-}
-
-/// One cell of the f32 anchored leakage evaluation — the scalar reference
-/// the f32 vector arms mirror operation for operation.
-#[inline(always)]
-fn leak_cell_f32(c1: f32, c2: f32, igate: f32, a0: f32, e0: f32, temp_c: f32) -> f32 {
-    let t = temp_c + 273.15f32;
-    let delta = c2 / t - a0;
-    let e = e0 * exp_delta_f32(delta);
-    madd_f32(c1 * t * t, e, igate)
-}
-
-/// `e^d` for a small drift `|d| ≲ 0.1` at f32 precision via a degree-4
-/// polynomial: the truncation error `0.1⁵/5! ≈ 8.3e-8` stays below f32
-/// epsilon even at the doubled f32 re-anchor horizon, so the extra terms of
-/// the f64 panel's degree-7 form would only burn latency. Accumulates
-/// through [`madd_f32`] so scalar and vector evaluations fuse identically
-/// under the `fma` feature.
-#[inline(always)]
-fn exp_delta_f32(d: f32) -> f32 {
-    let d2 = d * d;
-    let p01 = 1.0 + d;
-    let p23 = madd_f32(d, 1.0 / 6.0, 0.5);
-    madd_f32(d2, madd_f32(d2, 1.0 / 24.0, p23), p01)
 }
 
 /// Temperature-dependent leakage model for one power domain.
@@ -1524,89 +878,6 @@ mod tests {
                     continue;
                 }
                 let mut wide = vec![0.0; cells];
-                panel.currents_into_with(kernel, &temps, &mut wide);
-                for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
-                    assert_eq!(
-                        s.to_bits(),
-                        w.to_bits(),
-                        "kernel {kernel:?} lanes {lanes} cell {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_panel_tracks_the_f64_oracle_through_drift() {
-        // The f32 panel must stay within a few f32 ulps of the exact f64
-        // model across the full anchored drift budget — the anchor is f64,
-        // so only the span contributes f32 rounding.
-        let model = LeakageModel::exynos5410_big();
-        let mut panel = LeakagePanelF32::filled(1, 4, &model, 45.0);
-        let anchor = [45.0f32, 55.0, 70.0, 85.0];
-        panel.anchor_all(&anchor);
-        let mut out = [0.0f32; 4];
-        for step in 0..=LeakagePanelF32::REANCHOR_STEPS {
-            let temps: [f32; 4] = std::array::from_fn(|k| anchor[k] + 0.06 * step as f32);
-            panel.currents_into(&temps, &mut out);
-            for (k, &t) in temps.iter().enumerate() {
-                let exact = model.current_a(f64::from(t));
-                let rel = ((f64::from(out[k]) - exact) / exact).abs();
-                assert!(
-                    rel < 1e-5,
-                    "step {step} lane {k}: rel error {rel:.3e} ({} vs {exact})",
-                    out[k]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_panel_is_anchored_from_construction_and_on_admission() {
-        let big = LeakageModel::exynos5410_big();
-        let gpu = LeakageModel::exynos5410_gpu();
-        let mut panel = LeakagePanelF32::filled(2, 3, &big, 52.0);
-        assert_eq!(panel.rows(), 2);
-        assert_eq!(panel.lanes(), 3);
-        let temps = [52.0f32; 6];
-        let mut out = [0.0f32; 6];
-        panel.currents_into(&temps, &mut out);
-        let exact = big.current_a(52.0);
-        for (k, &i) in out.iter().enumerate() {
-            assert!(i.is_finite(), "cell {k} must be finite without anchoring");
-            let rel = ((f64::from(i) - exact) / exact).abs();
-            assert!(rel < 1e-6, "cell {k}: rel error {rel:.3e}");
-        }
-        // Mid-sweep admission replaces model and anchor atomically.
-        panel.set_model(1, 1, &gpu, 61.0);
-        let temps = [52.0f32, 52.0, 52.0, 52.0, 61.0, 52.0];
-        panel.currents_into(&temps, &mut out);
-        let exact = gpu.current_a(61.0);
-        let rel = ((f64::from(out[4]) - exact) / exact).abs();
-        assert!(rel < 1e-6, "admitted cell: rel error {rel:.3e}");
-    }
-
-    #[test]
-    fn f32_currents_kernel_arms_are_bit_identical() {
-        // Like the f64 arms, every f32 arm performs the same per-cell f32
-        // operation sequence — including at lengths exercising the 8-wide
-        // AVX2 / 4-wide NEON tails.
-        let big = LeakageModel::exynos5410_big();
-        let gpu = LeakageModel::exynos5410_gpu();
-        for lanes in [1, 3, 4, 7, 8, 9, 16, 21] {
-            let mut panel = LeakagePanelF32::filled(3, lanes, &big, 48.0);
-            for lane in 0..lanes {
-                panel.set_model(2, lane, &gpu, 48.0 + lane as f64);
-            }
-            let cells = 3 * lanes;
-            let temps: Vec<f32> = (0..cells).map(|k| 48.0 + (k as f32) * 0.013).collect();
-            let mut scalar = vec![0.0f32; cells];
-            panel.currents_into_with(PanelKernel::Scalar, &temps, &mut scalar);
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut wide = vec![0.0f32; cells];
                 panel.currents_into_with(kernel, &temps, &mut wide);
                 for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
                     assert_eq!(

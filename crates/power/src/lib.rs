@@ -64,5 +64,5 @@ pub use domain_power::DomainPower;
 pub use dynamic::{ActivityEstimator, DynamicPowerModel};
 pub use error::PowerError;
 pub use furnace::{FurnaceDataset, FurnaceRun, FurnaceSample};
-pub use leakage::{currents_batch, LeakageModel, LeakagePanel, LeakagePanelF32, LeakageParams};
+pub use leakage::{currents_batch, LeakageModel, LeakagePanel, LeakageParams};
 pub use model::{DomainPowerModel, PowerModel};

@@ -161,9 +161,11 @@ pub struct SweepSpec {
     pub plant: PlantPowerParams,
     /// Use ideal (noise-free) sensors in every cell.
     pub ideal_sensors: bool,
-    /// Plant-engine element precision shared by every cell. The serde
-    /// default ([`EnginePrecision::F64`]) keeps persisted campaign specs and
-    /// their results bit-identical.
+    /// Plant-engine element precision: always [`EnginePrecision::F64`].
+    /// Kept only because the frozen `campaign_e2e` benchmark prints it; it
+    /// goes at the next benchmark change. It renders into
+    /// [`SweepSpec::fingerprint`] and the worker wire format exactly as
+    /// before, so existing checkpoints still resume.
     #[serde(default)]
     pub precision: EnginePrecision,
     /// Deterministic executor-fault injection pinned to specific cells:
@@ -194,7 +196,7 @@ impl SweepSpec {
             max_duration_s: defaults.max_duration_s,
             plant: defaults.plant,
             ideal_sensors: defaults.ideal_sensors,
-            precision: defaults.precision,
+            precision: EnginePrecision::F64,
             chaos_cells: default_chaos_cells(),
         }
     }
@@ -247,13 +249,6 @@ impl SweepSpec {
     #[must_use]
     pub fn with_ideal_sensors(mut self, ideal_sensors: bool) -> Self {
         self.ideal_sensors = ideal_sensors;
-        self
-    }
-
-    /// Sets the plant-engine precision every cell runs at.
-    #[must_use]
-    pub fn with_precision(mut self, precision: EnginePrecision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -319,7 +314,6 @@ impl SweepSpec {
         config.plant = self.plant;
         config.ideal_sensors = self.ideal_sensors;
         config.faults = self.fault_plans[fault].clone();
-        config.precision = self.precision;
         if let Some((_, plan)) = self.chaos_cells.iter().find(|(cell, _)| *cell == index) {
             config.chaos = Some(*plan);
         }
@@ -442,9 +436,9 @@ impl CampaignRunner<'_> {
         S: ResultSink + Send + ?Sized,
     {
         let spec = self.spec;
-        // Every cell shares the campaign's control period and precision:
-        // one lockstep group over the whole grid.
-        let groups = [(spec.control_period_s, spec.precision, spec.cells())];
+        // Every cell shares the campaign's control period: one lockstep
+        // group over the whole grid.
+        let groups = [(spec.control_period_s, spec.cells())];
         let provider = |_group: usize, index: usize| -> (usize, ExperimentConfig) {
             (index, spec.cell(index))
         };
@@ -474,7 +468,7 @@ impl CampaignRunner<'_> {
         S: ResultSink + Send + ?Sized,
     {
         let spec = self.spec;
-        let groups = [(spec.control_period_s, spec.precision, indices.len())];
+        let groups = [(spec.control_period_s, indices.len())];
         let provider = |_group: usize, k: usize| -> (usize, ExperimentConfig) {
             let index = indices[k];
             (index, spec.cell(index))
@@ -680,6 +674,9 @@ mod tests {
     fn fingerprints_identify_the_grid() {
         let base = spec().fingerprint();
         assert_eq!(base, spec().fingerprint(), "stable across clones");
+        // Pinned: checkpoints written by earlier builds carry this value and
+        // must keep resuming.
+        assert_eq!(base, 0x7A2A_583A_2ACE_0BC7);
         assert_ne!(base, spec().with_campaign_seed(2).fingerprint());
         assert_ne!(base, spec().with_replicates(4).fingerprint());
         assert_ne!(base, spec().with_max_duration_s(9.5).fingerprint());

@@ -214,16 +214,16 @@ fn take_fault_kind(r: &mut ByteReader<'_>) -> Result<FaultKind, SimError> {
 fn put_precision(w: &mut ByteWriter, precision: EnginePrecision) {
     w.put_u8(match precision {
         EnginePrecision::F64 => 0,
-        EnginePrecision::F32 => 1,
-        EnginePrecision::F32Shadow => 2,
     });
 }
 
+/// Tags 1 and 2 were the retired f32 engines; a blob naming one was written
+/// for an engine this build no longer has, so it is rejected like any other
+/// unknown tag.
 fn take_precision(r: &mut ByteReader<'_>) -> Result<EnginePrecision, SimError> {
     Ok(match r.take_u8().map_err(codec_error)? {
         0 => EnginePrecision::F64,
-        1 => EnginePrecision::F32,
-        2 => EnginePrecision::F32Shadow,
+        1 | 2 => return Err(malformed("retired engine precision tag (f32 engines)")),
         _ => return Err(malformed("unknown engine precision tag")),
     })
 }
@@ -942,5 +942,41 @@ mod tests {
             decode_shard(&sink_blob),
             Err(SimError::Corrupted(_))
         ));
+
+        // A correctly sealed blob naming a retired engine precision (tags 1
+        // and 2, the removed f32 engines) is malformed content: a structured
+        // error, never a panic.
+        let plain = ShardSpec::new(
+            SweepSpec {
+                chaos_cells: Vec::new(),
+                ..spec()
+            },
+            0,
+            10,
+        );
+        let mut payload = ByteWriter::new();
+        put_shard(&mut payload, &plain);
+        let payload = payload.into_bytes();
+        // The precision byte precedes the chaos-cell count and the range.
+        let tag_at = payload.len() - 3 * 8 - 1;
+        let seal_with_tag = |tag: u8| {
+            seal_blob(SHARD_MAGIC, |w| {
+                for (k, &byte) in payload.iter().enumerate() {
+                    w.put_u8(if k == tag_at { tag } else { byte });
+                }
+            })
+        };
+        assert_eq!(
+            decode_shard(&seal_with_tag(0)).expect("tag 0 is F64"),
+            plain
+        );
+        for retired in [1u8, 2] {
+            match decode_shard(&seal_with_tag(retired)) {
+                Err(SimError::Io(msg)) => {
+                    assert!(msg.contains("retired engine precision"), "{msg}")
+                }
+                other => panic!("retired tag {retired} decoded as {other:?}"),
+            }
+        }
     }
 }

@@ -34,31 +34,22 @@ use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
 use crate::batch::BatchPlant;
-use crate::mixed::MixedBatchPlant;
 use crate::plant::{PhysicalPlant, PlantPowerParams, PlantStep};
 use crate::SimError;
 
-/// Element precision of the plant engine a run steps its scenarios with.
+/// Element precision of the plant engine: always f64, the precision the
+/// paper's models are identified in.
 ///
-/// The default, [`EnginePrecision::F64`], selects the existing engines
-/// ([`ScalarEngine`] for single-lane runs, [`PanelEngine`] for batches) and
-/// leaves every trajectory bit-identical to previous releases.
-/// [`EnginePrecision::F32`] selects the [`MixedPanelEngine`] — f32 panel
-/// state with f64 anchoring, roughly doubling SIMD width on the hot loops
-/// within a validated ≤ 1e-3 °C trajectory budget.
-/// [`EnginePrecision::F32Shadow`] steps *both* engines in lockstep and
-/// records their worst-case node-temperature divergence
-/// ([`MixedPanelEngine::worst_divergence_c`]) — the qualification mode for
-/// new scenario families, costing slightly more than an f64-only run.
+/// The single variant exists only because the frozen `campaign_e2e` benchmark
+/// prints [`crate::SweepSpec::precision`]; it goes with that field at the
+/// next benchmark change. It still occupies one byte in the campaign
+/// fingerprint and the worker wire format (tag 0), so specs, checkpoints and
+/// shard blobs written before the f32 engine was removed stay readable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EnginePrecision {
-    /// Full f64 panels — the bit-identical default.
+    /// Full f64 panels.
     #[default]
     F64,
-    /// f32 panels with f64 anchoring (the mixed-precision engine).
-    F32,
-    /// f32 engine with an f64 shadow stepped in lockstep for validation.
-    F32Shadow,
 }
 
 /// One lane's interval-constant control inputs to
@@ -321,145 +312,6 @@ impl PlantEngine for PanelEngine {
     }
 }
 
-/// The f64 shadow state of a [`MixedPanelEngine`] in
-/// [`EnginePrecision::F32Shadow`] mode.
-#[derive(Debug, Clone)]
-struct ShadowState {
-    plant: BatchPlant,
-    steps: Vec<Result<PlantStep, SimError>>,
-    nodes32: Vec<f64>,
-    nodes64: Vec<f64>,
-    worst_divergence_c: f64,
-}
-
-/// The mixed-precision backend: a [`MixedBatchPlant`] advancing every lane
-/// at f32 panel width with f64 anchoring (see the [`crate::mixed`] module
-/// docs for the precision split and its budgets).
-///
-/// With [`MixedPanelEngine::with_shadow`] the engine additionally steps a
-/// full-precision [`BatchPlant`] in lockstep on the same inputs and records
-/// the worst node-temperature divergence observed so far — the
-/// [`EnginePrecision::F32Shadow`] validation mode.
-#[derive(Debug, Clone)]
-pub struct MixedPanelEngine {
-    plant: MixedBatchPlant,
-    energy_j: Vec<f64>,
-    shadow: Option<Box<ShadowState>>,
-}
-
-impl MixedPanelEngine {
-    /// Creates a batch of `params.len()` f32 lanes, each starting at its
-    /// configured initial temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn new(spec: SocSpec, params: &[PlantPowerParams]) -> Self {
-        MixedPanelEngine {
-            plant: MixedBatchPlant::new(spec, params),
-            energy_j: vec![0.0; params.len()],
-            shadow: None,
-        }
-    }
-
-    /// Creates the engine with an f64 shadow plant stepped in lockstep; the
-    /// per-lane results still come from the f32 engine, while
-    /// [`MixedPanelEngine::worst_divergence_c`] tracks the divergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_shadow(spec: SocSpec, params: &[PlantPowerParams]) -> Self {
-        let plant = MixedBatchPlant::new(spec.clone(), params);
-        let node_count = plant.node_count();
-        MixedPanelEngine {
-            plant,
-            energy_j: vec![0.0; params.len()],
-            shadow: Some(Box::new(ShadowState {
-                plant: BatchPlant::new(spec, params),
-                steps: Vec::with_capacity(params.len()),
-                nodes32: vec![0.0; node_count],
-                nodes64: vec![0.0; node_count],
-                worst_divergence_c: 0.0,
-            })),
-        }
-    }
-
-    /// Borrowed view of the underlying mixed batch plant.
-    pub fn batch(&self) -> &MixedBatchPlant {
-        &self.plant
-    }
-
-    /// Worst absolute f32-vs-f64 node-temperature divergence (°C) observed
-    /// since construction, across every lane and interval. `None` unless the
-    /// engine was built with [`MixedPanelEngine::with_shadow`].
-    pub fn worst_divergence_c(&self) -> Option<f64> {
-        self.shadow.as_ref().map(|s| s.worst_divergence_c)
-    }
-}
-
-impl PlantEngine for MixedPanelEngine {
-    fn lanes(&self) -> usize {
-        self.plant.lanes()
-    }
-
-    fn node_count(&self) -> usize {
-        self.plant.node_count()
-    }
-
-    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        self.plant.admit_lane(lane, params);
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.plant.admit_lane(lane, params);
-        }
-        self.energy_j[lane] = 0.0;
-    }
-
-    fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        steps.clear();
-        self.plant.step_interval_into(inputs, interval_s, steps)?;
-        for (lane, step) in steps.iter().enumerate() {
-            if let Ok(step) = step {
-                self.energy_j[lane] += step.platform_power_w * interval_s;
-            }
-        }
-        if let Some(shadow) = self.shadow.as_mut() {
-            let shadow_steps = &mut shadow.steps;
-            shadow
-                .plant
-                .step_interval_into(inputs, interval_s, shadow_steps)?;
-            for lane in 0..self.plant.lanes() {
-                self.plant.node_temps_into(lane, &mut shadow.nodes32);
-                shadow.plant.node_temps_into(lane, &mut shadow.nodes64);
-                for (a, b) in shadow.nodes32.iter().zip(&shadow.nodes64) {
-                    let d = (a - b).abs();
-                    if d > shadow.worst_divergence_c {
-                        shadow.worst_divergence_c = d;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        self.plant.core_temps_c(lane)
-    }
-
-    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        self.plant.node_temps_into(lane, out);
-    }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        self.energy_j[lane]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,83 +418,6 @@ mod tests {
         }
         assert_eq!(panel.core_temps_c(0), untouched_before);
         assert!(scalar.energy_j(0) > 0.0);
-    }
-
-    #[test]
-    fn mixed_engine_tracks_the_panel_engine_within_budget() {
-        let (_scalar, mut panel, spec) = engines();
-        let params = [
-            PlantPowerParams::default(),
-            PlantPowerParams {
-                leakage_mismatch: 1.02,
-                initial_temp_c: 47.0,
-                ..PlantPowerParams::default()
-            },
-        ];
-        let mut mixed = MixedPanelEngine::new(spec.clone(), &params);
-        assert_eq!(mixed.lanes(), panel.lanes());
-        assert_eq!(mixed.node_count(), panel.node_count());
-        assert!(mixed.worst_divergence_c().is_none());
-        let state = PlatformState::default_for(&spec);
-        let d = demand();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for _ in 0..200 {
-            let inputs: Vec<LaneInput<'_>> = (0..panel.lanes())
-                .map(|_| LaneInput {
-                    state: &state,
-                    demand: &d,
-                    fan_level: FanLevel::Off,
-                    ambient_c: 28.0,
-                })
-                .collect();
-            panel.step_interval(&inputs, 0.1, &mut a).unwrap();
-            mixed.step_interval(&inputs, 0.1, &mut b).unwrap();
-            assert!(a.iter().chain(&b).all(Result::is_ok));
-        }
-        let mut x = vec![0.0; panel.node_count()];
-        let mut y = vec![0.0; mixed.node_count()];
-        for lane in 0..panel.lanes() {
-            panel.node_temps_into(lane, &mut x);
-            mixed.node_temps_into(lane, &mut y);
-            for (p, m) in x.iter().zip(&y) {
-                assert!((p - m).abs() < 1e-3, "lane {lane}: {p} vs {m}");
-            }
-            let (ep, em) = (panel.energy_j(lane), mixed.energy_j(lane));
-            assert!(
-                (ep - em).abs() <= 1e-3 * ep,
-                "lane {lane} energy: {ep} vs {em}"
-            );
-        }
-    }
-
-    #[test]
-    fn shadow_mode_records_worst_divergence() {
-        let spec = SocSpec::odroid_xu_e();
-        let params = [PlantPowerParams::default(), PlantPowerParams::default()];
-        let mut shadowed = MixedPanelEngine::with_shadow(spec.clone(), &params);
-        assert_eq!(shadowed.worst_divergence_c(), Some(0.0));
-        let state = PlatformState::default_for(&spec);
-        let d = demand();
-        let mut out = Vec::new();
-        for _ in 0..50 {
-            let inputs: Vec<LaneInput<'_>> = (0..2)
-                .map(|_| LaneInput {
-                    state: &state,
-                    demand: &d,
-                    fan_level: FanLevel::Off,
-                    ambient_c: 28.0,
-                })
-                .collect();
-            shadowed.step_interval(&inputs, 0.1, &mut out).unwrap();
-        }
-        let worst = shadowed.worst_divergence_c().unwrap();
-        assert!(worst > 0.0, "lockstep runs must observe some divergence");
-        assert!(worst < 1e-3, "divergence {worst:.3e} exceeds the budget");
-        // Admission resets both engines, so the shadow stays in lockstep.
-        shadowed.admit(1, PlantPowerParams::default());
-        let admitted = PlantPowerParams::default().initial_temp_c;
-        assert_eq!(shadowed.core_temps_c(1), [admitted; 4]);
     }
 
     #[test]

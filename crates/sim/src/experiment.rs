@@ -26,9 +26,7 @@ use thermal_model::HorizonMap;
 use workload::{BenchmarkId, Demand, WorkloadState};
 
 use crate::calibrate::Calibration;
-use crate::engine::{
-    EnginePrecision, LaneInput, MixedPanelEngine, PanelEngine, PlantEngine, ScalarEngine,
-};
+use crate::engine::{LaneInput, PanelEngine, PlantEngine, ScalarEngine};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::metrics::RunSummary;
 use crate::observer::{OnlineRunStats, RunObserver, TracePolicy};
@@ -110,13 +108,6 @@ pub struct ExperimentConfig {
     /// ([`SafetyConfig::disabled`] turns both off).
     #[serde(default)]
     pub safety: SafetyConfig,
-    /// Plant-engine element precision. The default [`EnginePrecision::F64`]
-    /// keeps every existing campaign bit-identical;
-    /// [`EnginePrecision::F32`] runs the mixed-precision panel engine and
-    /// [`EnginePrecision::F32Shadow`] additionally steps an f64 shadow in
-    /// lockstep to record the worst-case divergence.
-    #[serde(default)]
-    pub precision: EnginePrecision,
     /// Deterministic executor-fault injection for containment testing
     /// (`None`: no injected faults, zero per-interval work). See
     /// [`ChaosPlan`].
@@ -140,7 +131,6 @@ impl ExperimentConfig {
             ideal_sensors: false,
             faults: None,
             safety: SafetyConfig::default(),
-            precision: EnginePrecision::default(),
             chaos: None,
         }
     }
@@ -162,13 +152,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_safety(mut self, safety: SafetyConfig) -> Self {
         self.safety = safety;
-        self
-    }
-
-    /// Returns the configuration with the given plant-engine precision.
-    #[must_use]
-    pub fn with_precision(mut self, precision: EnginePrecision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -1202,38 +1185,25 @@ fn drive_engine<E, N, P>(
     }
 }
 
-/// The plant engine a run or sweep group steps, selected by
-/// [`ExperimentConfig::precision`]: the scalar/panel f64 paths or the
-/// mixed-precision f32 panel (optionally with its f64 shadow).
+/// The plant engine a run or sweep group steps: the scalar engine for
+/// single-lane runs, the panel engine for batches.
 #[derive(Debug)]
 enum AnyEngine {
+    // Both engines are boxed so the dispatch enum stays pointer-sized: the
+    // panel engine carries whole scenario panels and dwarfs anything
+    // unboxed.
     Scalar(Box<ScalarEngine>),
     Panel(Box<PanelEngine>),
-    // Every engine is boxed so the dispatch enum stays pointer-sized: the
-    // panel engines carry whole scenario panels (the mixed one at both
-    // precisions plus per-lane caches) and dwarf anything unboxed.
-    Mixed(Box<MixedPanelEngine>),
 }
 
 impl AnyEngine {
-    /// Builds the engine `precision` selects for the given lanes; `lanes`
-    /// picks between the scalar and panel f64 forms (the mixed engine is
-    /// panel-native at every width).
-    fn build(
-        spec: SocSpec,
-        params: &[PlantPowerParams],
-        lanes: usize,
-        precision: EnginePrecision,
-    ) -> AnyEngine {
-        match precision {
-            EnginePrecision::F64 if lanes == 1 => {
-                AnyEngine::Scalar(Box::new(ScalarEngine::new(spec, params)))
-            }
-            EnginePrecision::F64 => AnyEngine::Panel(Box::new(PanelEngine::new(spec, params))),
-            EnginePrecision::F32 => AnyEngine::Mixed(Box::new(MixedPanelEngine::new(spec, params))),
-            EnginePrecision::F32Shadow => {
-                AnyEngine::Mixed(Box::new(MixedPanelEngine::with_shadow(spec, params)))
-            }
+    /// Builds the engine for the given lane width: scalar at one lane,
+    /// panel otherwise.
+    fn build(spec: SocSpec, params: &[PlantPowerParams], lanes: usize) -> AnyEngine {
+        if lanes == 1 {
+            AnyEngine::Scalar(Box::new(ScalarEngine::new(spec, params)))
+        } else {
+            AnyEngine::Panel(Box::new(PanelEngine::new(spec, params)))
         }
     }
 }
@@ -1245,7 +1215,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.lanes(),
             AnyEngine::Panel(e) => e.lanes(),
-            AnyEngine::Mixed(e) => e.lanes(),
         }
     }
 
@@ -1253,7 +1222,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.node_count(),
             AnyEngine::Panel(e) => e.node_count(),
-            AnyEngine::Mixed(e) => e.node_count(),
         }
     }
 
@@ -1261,7 +1229,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.admit(lane, params),
             AnyEngine::Panel(e) => e.admit(lane, params),
-            AnyEngine::Mixed(e) => e.admit(lane, params),
         }
     }
 
@@ -1274,7 +1241,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.step_interval(inputs, interval_s, steps),
             AnyEngine::Panel(e) => e.step_interval(inputs, interval_s, steps),
-            AnyEngine::Mixed(e) => e.step_interval(inputs, interval_s, steps),
         }
     }
 
@@ -1282,7 +1248,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.core_temps_c(lane),
             AnyEngine::Panel(e) => e.core_temps_c(lane),
-            AnyEngine::Mixed(e) => e.core_temps_c(lane),
         }
     }
 
@@ -1290,7 +1255,6 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.node_temps_into(lane, out),
             AnyEngine::Panel(e) => e.node_temps_into(lane, out),
-            AnyEngine::Mixed(e) => e.node_temps_into(lane, out),
         }
     }
 
@@ -1298,15 +1262,13 @@ impl PlantEngine for AnyEngine {
         match self {
             AnyEngine::Scalar(e) => e.energy_j(lane),
             AnyEngine::Panel(e) => e.energy_j(lane),
-            AnyEngine::Mixed(e) => e.energy_j(lane),
         }
     }
 }
 
 /// The closed-loop simulation of one benchmark run: a control loop wired
-/// to a single-lane engine (scalar f64 by default, the mixed-precision
-/// panel under [`EnginePrecision::F32`]) and driven by the same generic
-/// executor as the batched and sweeping paths.
+/// to the single-lane scalar engine and driven by the same generic executor
+/// as the batched and sweeping paths.
 #[derive(Debug)]
 pub struct Experiment {
     control: ControlLoop,
@@ -1324,7 +1286,7 @@ impl Experiment {
     /// Returns [`SimError::InvalidConfig`] for non-physical timing parameters.
     pub fn new(config: &ExperimentConfig, calibration: &Calibration) -> Result<Self, SimError> {
         let control = ControlLoop::new(config, calibration, TracePolicy::Full)?;
-        let engine = AnyEngine::build(control.spec.clone(), &[config.plant], 1, config.precision);
+        let engine = AnyEngine::build(control.spec.clone(), &[config.plant], 1);
         Ok(Experiment { control, engine })
     }
 
@@ -1567,30 +1529,23 @@ impl ScenarioSweep {
         if self.configs.is_empty() {
             return;
         }
-        // Lockstep needs a shared control period and one engine per group
-        // needs a shared precision: partition the scenario indices into
-        // per-(period, precision) groups (almost always exactly one). One
+        // Lockstep needs a shared control period: partition the scenario
+        // indices into per-period groups (almost always exactly one). One
         // worker pool sweeps the groups in order, draining each group's
         // shared queue before flowing into the next, so a sweep over many
         // distinct periods still keeps the whole pool busy — workers that
         // find a group's queue already drained skip ahead immediately.
-        let mut groups: Vec<((u64, EnginePrecision), Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (index, config) in self.configs.iter().enumerate() {
-            let bits = (config.control_period_s.to_bits(), config.precision);
+            let bits = config.control_period_s.to_bits();
             match groups.iter_mut().find(|(key, _)| *key == bits) {
                 Some((_, group)) => group.push(index),
                 None => groups.push((bits, vec![index])),
             }
         }
-        let group_meta: Vec<(f64, EnginePrecision, usize)> = groups
+        let group_meta: Vec<(f64, usize)> = groups
             .iter()
-            .map(|((_, precision), group)| {
-                (
-                    self.configs[group[0]].control_period_s,
-                    *precision,
-                    group.len(),
-                )
-            })
+            .map(|(bits, group)| (f64::from_bits(*bits), group.len()))
             .collect();
         let provider = |group: usize, k: usize| -> (usize, ExperimentConfig) {
             let slot = groups[group].1[k];
@@ -1668,8 +1623,8 @@ impl ResultSink for () {
 }
 
 /// The shared streaming sweep body: `threads` workers sweep the
-/// shared-period `groups` (each a `(control period, engine precision,
-/// scenario count)` triple) in order, pulling within-group indices from one
+/// shared-period `groups` (each a `(control period, scenario count)` pair)
+/// in order, pulling within-group indices from one
 /// atomic cursor per group
 /// and materialising each scenario through `provider(group, k)` lazily —
 /// nothing about a scenario exists before a worker claims it. Scenarios are
@@ -1696,7 +1651,7 @@ impl ResultSink for () {
 pub(crate) fn sweep_stream<F, S>(
     threads: usize,
     lanes: usize,
-    groups: &[(f64, EnginePrecision, usize)],
+    groups: &[(f64, usize)],
     recording: TracePolicy,
     provider: &F,
     calibration: &Calibration,
@@ -1715,7 +1670,7 @@ pub(crate) fn sweep_stream<F, S>(
         attempt: u32,
     }
 
-    let total: usize = groups.iter().map(|(_, _, count)| count).sum();
+    let total: usize = groups.iter().map(|(_, count)| count).sum();
     if total == 0 {
         return;
     }
@@ -1724,7 +1679,7 @@ pub(crate) fn sweep_stream<F, S>(
         .map(|_| std::sync::atomic::AtomicUsize::new(0))
         .collect();
     // Per-group retry queues (retries must re-run inside their own lockstep
-    // group: the engine's period and precision are group properties). Empty
+    // group: the engine's period is a group property). Empty
     // and untouched when the policy's retry budget is zero.
     let retries: Vec<std::sync::Mutex<Vec<RetryEntry>>> = groups
         .iter()
@@ -1797,9 +1752,7 @@ pub(crate) fn sweep_stream<F, S>(
             usize,
             (ExperimentConfig, u32),
         >::new());
-        for (group, (&(period_s, precision, count), cursor)) in
-            groups.iter().zip(&cursors).enumerate()
-        {
+        for (group, (&(period_s, count), cursor)) in groups.iter().zip(&cursors).enumerate() {
             // Keep draining this group while retry work reappears: any
             // worker that enqueues a retry re-checks its own queue after
             // its engine drains, so no entry is ever orphaned.
@@ -1900,7 +1853,7 @@ pub(crate) fn sweep_stream<F, S>(
                     .into_iter()
                     .map(|(slot, control)| LaneSlot::holding(slot, control))
                     .collect();
-                let mut engine = AnyEngine::build(spec, &params, lanes, precision);
+                let mut engine = AnyEngine::build(spec, &params, lanes);
                 drive_engine(
                     &mut engine,
                     period_s,
@@ -1949,9 +1902,8 @@ fn run_one(
 /// batch. Scenarios finishing early stay in the batch as frozen lanes until
 /// the slowest lane completes (a [`ScenarioSweep`] avoids that tail by
 /// refilling freed lanes from its scenario queue). All configurations must
-/// share one `control_period_s` and one engine precision; mixed periods or
-/// precisions cannot step on one engine and fall back to scalar per-scenario
-/// runs.
+/// share one `control_period_s`; mixed periods cannot step on one engine and
+/// fall back to scalar per-scenario runs.
 pub fn run_lockstep(
     configs: &[ExperimentConfig],
     calibration: &Calibration,
@@ -1960,10 +1912,9 @@ pub fn run_lockstep(
         return Vec::new();
     }
     let period_s = configs[0].control_period_s;
-    let precision = configs[0].precision;
     if configs
         .iter()
-        .any(|config| config.control_period_s != period_s || config.precision != precision)
+        .any(|config| config.control_period_s != period_s)
     {
         return configs
             .iter()
@@ -1986,20 +1937,11 @@ pub fn run_lockstep(
     }
 
     if !lanes.is_empty() {
-        // The f64 path keeps the panel engine even for one lane (bit-identical
-        // to the scalar engine there); precision selects the mixed backend.
-        let mut engine = match precision {
-            EnginePrecision::F64 => AnyEngine::Panel(Box::new(PanelEngine::new(
-                SocSpec::odroid_xu_e(),
-                &lane_params,
-            ))),
-            _ => AnyEngine::build(
-                SocSpec::odroid_xu_e(),
-                &lane_params,
-                lane_params.len(),
-                precision,
-            ),
-        };
+        // Lockstep runs the panel engine even for a single configuration.
+        let mut engine = AnyEngine::Panel(Box::new(PanelEngine::new(
+            SocSpec::odroid_xu_e(),
+            &lane_params,
+        )));
         drive_engine(
             &mut engine,
             period_s,

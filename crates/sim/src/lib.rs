@@ -261,7 +261,6 @@ pub mod error;
 pub mod experiment;
 pub mod faults;
 pub mod metrics;
-pub mod mixed;
 pub mod naive;
 pub mod observer;
 pub mod plant;
@@ -276,9 +275,7 @@ pub use campaign::{splitmix64, CampaignRunner, DtpmVariant, SweepSpec};
 pub use distributed::{
     Coordinator, DistributedReport, LeaseStats, MemoryTransport, Transport, WorkerPool,
 };
-pub use engine::{
-    EnginePrecision, LaneInput, MixedPanelEngine, PanelEngine, PlantEngine, ScalarEngine,
-};
+pub use engine::{EnginePrecision, LaneInput, PanelEngine, PlantEngine, ScalarEngine};
 pub use error::SimError;
 pub use experiment::{
     run_lockstep, CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
@@ -286,13 +283,12 @@ pub use experiment::{
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};
 pub use metrics::{BenchmarkComparison, RunSummary, StabilityReport};
-pub use mixed::MixedBatchPlant;
 pub use naive::NaivePhysicalPlant;
 pub use observer::{DecimatedTrace, OnlineRunStats, RunObserver, TracePolicy};
 pub use plant::{PhysicalPlant, PlantPowerParams};
 pub use resilience::{
     CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, CheckpointSink, MergeSink, ResiliencePolicy, ShardRunner, ShardSpec,
+    ChaosPlan, CheckpointSink, MergeSink, ResiliencePolicy, ShardSpec,
 };
 pub use safety::{
     FaultObservation, HealthConfig, Incident, IncidentKind, IncidentLog, LadderConfig,

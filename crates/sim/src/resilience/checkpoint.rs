@@ -352,7 +352,9 @@ impl CampaignCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Io`] if the file cannot be read or is malformed.
+    /// Returns [`SimError::Io`] if the file cannot be read or is structurally
+    /// malformed, and [`SimError::Corrupted`] if its crc32 footer does not
+    /// match its contents (see [`CampaignCheckpoint::decode`]).
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, SimError> {
         CampaignCheckpoint::decode(&fs::read_to_string(path)?)
     }

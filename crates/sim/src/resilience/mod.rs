@@ -51,7 +51,7 @@ pub mod shard;
 
 pub use checkpoint::{CampaignCheckpoint, CellBitmap, CheckpointSink};
 pub use merge::{CampaignAggregate, CellFailure, CellOutcome, CellStats, MergeSink};
-pub use shard::{ShardRunner, ShardSpec};
+pub use shard::ShardSpec;
 
 /// Containment policy for a sweep or campaign: how many times a transiently
 /// failing cell is retried before quarantine, and the cooperative per-cell

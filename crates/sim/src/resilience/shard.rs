@@ -13,11 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use super::merge::MergeSink;
-use super::ResiliencePolicy;
-use crate::calibrate::Calibration;
 use crate::campaign::SweepSpec;
-use crate::experiment::ResultSink;
-use crate::observer::TracePolicy;
 
 /// One contiguous slice of a campaign grid: the shared [`SweepSpec`] plus
 /// the half-open cell-index range this shard owns. Serde-able, so a driver
@@ -80,86 +76,6 @@ impl ShardSpec {
     pub fn merge_sink(&self) -> MergeSink {
         MergeSink::new(self.start..self.end)
     }
-
-    /// A runner for this shard (same defaults as [`SweepSpec::runner`]).
-    pub fn runner(&self) -> ShardRunner<'_> {
-        let campaign = self.spec.runner();
-        ShardRunner {
-            shard: self,
-            threads: campaign.threads().min(self.cells()).max(1),
-            lanes: campaign.lanes(),
-            recording: campaign.recording(),
-            resilience: ResiliencePolicy::default(),
-        }
-    }
-}
-
-/// Executes one [`ShardSpec`] through the sweep scheduler, mirroring
-/// [`crate::CampaignRunner`]'s knobs. Results carry *global* cell indices,
-/// so any [`ResultSink`] — most usefully the shard's own
-/// [`ShardSpec::merge_sink`] — sees the same addressing as a whole-campaign
-/// run.
-#[derive(Debug, Clone)]
-pub struct ShardRunner<'a> {
-    shard: &'a ShardSpec,
-    threads: usize,
-    lanes: usize,
-    recording: TracePolicy,
-    resilience: ResiliencePolicy,
-}
-
-impl ShardRunner<'_> {
-    /// Overrides the worker-thread count (clamped to at least one).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the batch width (lanes per worker panel engine).
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Sets what each cell's run retains per interval.
-    #[must_use]
-    pub fn with_recording(mut self, recording: TracePolicy) -> Self {
-        self.recording = recording;
-        self
-    }
-
-    /// Sets the containment policy (retry budget, per-cell deadline).
-    #[must_use]
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Runs every cell of the shard, pushing each report into `sink` tagged
-    /// with its global cell index.
-    pub fn run_into<S>(&self, calibration: &Calibration, sink: &mut S)
-    where
-        S: ResultSink + Send + ?Sized,
-    {
-        self.shard
-            .spec
-            .runner()
-            .with_threads(self.threads)
-            .with_lanes(self.lanes)
-            .with_recording(self.recording)
-            .with_resilience(self.resilience)
-            .run_indices_into(&self.shard.indices(), calibration, sink);
-    }
-
-    /// Runs the shard into a fresh [`ShardSpec::merge_sink`] and returns the
-    /// completed sink, ready for [`MergeSink::merge_all`].
-    pub fn run(&self, calibration: &Calibration) -> MergeSink {
-        let mut sink = self.shard.merge_sink();
-        self.run_into(calibration, &mut sink);
-        sink
-    }
 }
 
 #[cfg(test)]
@@ -204,8 +120,6 @@ mod tests {
         assert_eq!(shard.cells(), 4);
         assert_eq!(shard.indices(), vec![3, 4, 5, 6]);
         assert_eq!(shard.merge_sink().range(), 3..7);
-        let runner = shard.runner();
-        assert!(runner.threads >= 1);
     }
 
     #[test]

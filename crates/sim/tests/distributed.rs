@@ -12,8 +12,9 @@
 //!   injection points).
 //! * The binary codec round-trips arbitrary [`ShardSpec`] and [`MergeSink`]
 //!   states bit-exactly, including non-finite float bit patterns.
-//! * Per-worker sink batching (the sweep-stream contention fix) does not
-//!   change delivered bits: multi-threaded and single-threaded folds agree.
+//! * Neither per-worker sink batching (the sweep-stream contention fix) nor
+//!   the thread/lane layout changes delivered bits: every layout folds to
+//!   the sequential run's aggregate, bit for bit.
 
 use std::thread;
 use std::time::Duration;
@@ -263,17 +264,65 @@ proptest! {
 
 #[test]
 fn sink_batching_does_not_change_delivered_bits() {
-    // The sweep-stream sink batching (per-worker outboxes flushed under one
-    // lock take) must be invisible in the fold: a multi-threaded, batched
-    // run delivers exactly the bits of the sequential one.
-    let spec = small_spec();
-    let mut sequential = MergeSink::new(0..spec.cells());
-    spec.runner()
-        .with_threads(1)
-        .run_into(calibration(), &mut sequential);
-    let mut threaded = MergeSink::new(0..spec.cells());
-    spec.runner()
-        .with_threads(4)
-        .run_into(calibration(), &mut threaded);
-    assert_eq!(sequential.encode(), threaded.encode());
+    // Neither the sweep-stream sink batching (per-worker outboxes flushed
+    // under one lock take) nor the thread/lane layout may show in the fold.
+    // Checkpoint resume and distributed runs depend on this: one spec, one
+    // answer. Eighteen cells over eight lanes put cells into full SIMD
+    // chunks, scalar remainder lanes and lanes re-admitted mid-campaign.
+    let spec = small_spec().with_replicates(3);
+    let run = |threads: usize, lanes: usize| {
+        let mut sink = MergeSink::new(0..spec.cells());
+        spec.runner()
+            .with_threads(threads)
+            .with_lanes(lanes)
+            .run_into(calibration(), &mut sink);
+        assert!(sink.is_complete());
+        sink
+    };
+    // Scalar engine (one lane): a multi-threaded, batched run delivers
+    // exactly the bits of the sequential one.
+    assert_eq!(run(1, 1).encode(), run(4, 1).encode());
+    // Panel engine: a repeat of the same layout, and other thread and lane
+    // counts, fold to the same aggregate bit for bit.
+    let reference = run(2, 8);
+    for (threads, lanes) in [(2, 8), (1, 8), (2, 3)] {
+        let sink = run(threads, lanes);
+        assert_eq!(
+            aggregate_bits(sink.aggregate()),
+            aggregate_bits(reference.aggregate()),
+            "threads {threads}, lanes {lanes}"
+        );
+        assert_eq!(sink.encode(), reference.encode());
+    }
+}
+
+/// Every field of a [`platform_sim::CampaignAggregate`], floats as bit
+/// patterns, so equality is bit-identity rather than closeness.
+fn aggregate_bits(aggregate: &platform_sim::CampaignAggregate) -> Vec<u64> {
+    let mut bits = vec![
+        aggregate.cells as u64,
+        aggregate.completed_runs as u64,
+        aggregate.failed_cells as u64,
+        aggregate.shutdowns as u64,
+        aggregate.total_intervals as u64,
+        aggregate.escalations as u64,
+        aggregate.sensor_faults as u64,
+        aggregate.total_energy_j.to_bits(),
+    ];
+    for welford in [
+        &aggregate.energy_j,
+        &aggregate.mean_power_w,
+        &aggregate.execution_time_s,
+        &aggregate.peak_temp_c,
+        &aggregate.mean_temp_c,
+    ] {
+        bits.extend([
+            welford.count() as u64,
+            welford.mean().to_bits(),
+            welford.m2().to_bits(),
+            welford.min().to_bits(),
+            welford.max().to_bits(),
+        ]);
+    }
+    bits
 }

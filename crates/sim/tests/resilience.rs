@@ -178,12 +178,13 @@ fn shard_merge_is_independent_of_shard_arrival_order() {
     let sinks: Vec<MergeSink> = shards
         .iter()
         .map(|shard| {
-            shard
-                .runner()
+            let mut sink = shard.merge_sink();
+            spec.runner()
                 .with_threads(1)
                 .with_lanes(1)
                 .with_recording(TracePolicy::SummaryOnly)
-                .run(calibration())
+                .run_indices_into(&shard.indices(), calibration(), &mut sink);
+            sink
         })
         .collect();
 

@@ -100,7 +100,7 @@ pub mod state_space;
 
 pub use error::ThermalError;
 pub use network::{
-    BatchStepTransition, BatchStepTransitionF32, ExynosThermalNetwork, FanBoost, NodeId, RkScratch,
-    StepTransition, ThermalNetwork, ThermalNetworkBuilder,
+    BatchStepTransition, ExynosThermalNetwork, FanBoost, NodeId, RkScratch, StepTransition,
+    ThermalNetwork, ThermalNetworkBuilder,
 };
 pub use state_space::{DiscreteThermalModel, HorizonMap};

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use numeric::{Matrix, Panel, PanelF32, Vector};
+use numeric::{Matrix, Panel, Vector};
 
 use crate::ThermalError;
 
@@ -745,185 +745,6 @@ impl BatchStepTransition {
     }
 }
 
-/// Single-precision demotion of a [`BatchStepTransition`] for the
-/// mixed-precision batch engine.
-///
-/// The transition matrices are always *computed* in f64 — the RK4
-/// discretisation involves matrix powers whose conditioning f32 would
-/// visibly degrade — and demoted element-wise once per control interval via
-/// [`BatchStepTransitionF32::from_f64`]. The apply paths then run entirely
-/// at f32 width through the width-generic panel kernels
-/// ([`numeric::affine_pair_apply_elem`]), doubling the lanes advanced per
-/// vector relative to [`BatchStepTransition::apply_panel_bias`]. The panel
-/// and per-lane paths share one per-lane accumulation order, so mixing them
-/// never changes a trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchStepTransitionF32 {
-    n: usize,
-    /// `R`, demoted, as an `n × n` row-major panel-as-matrix.
-    r: PanelF32,
-    /// `S·diag(1/C)`, demoted, `n × n` row-major.
-    s_power: PanelF32,
-    /// `S·(1/C ⊙ G_amb·T_amb)`, demoted.
-    ambient_drive: Vec<f32>,
-}
-
-impl BatchStepTransitionF32 {
-    /// Demotes a precomputed f64 transition to f32 storage, element-wise.
-    pub fn from_f64(full: &BatchStepTransition) -> Self {
-        let n = full.n;
-        let mut r = PanelF32::zeros(n, n);
-        let mut s_power = PanelF32::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                r.set(i, j, full.r[(i, j)] as f32);
-                s_power.set(i, j, full.s_power[(i, j)] as f32);
-            }
-        }
-        BatchStepTransitionF32 {
-            n,
-            r,
-            s_power,
-            ambient_drive: full.ambient_drive.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Number of nodes the transition covers.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Advances every lane of `temps` by one f32 micro-step with the
-    /// transition's own ambient drive; `tmp` is overwritten scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not all have `node_count` rows and matching
-    /// lane counts.
-    #[inline]
-    pub fn apply_panel(&self, temps: &mut PanelF32, powers: &PanelF32, tmp: &mut PanelF32) {
-        numeric::affine_pair_apply_elem(
-            &self.r,
-            &self.s_power,
-            &self.ambient_drive,
-            temps,
-            powers,
-            tmp,
-        )
-        .expect("panel shapes must cover all nodes");
-        std::mem::swap(temps, tmp);
-    }
-
-    /// Advances every lane of `temps` by one f32 micro-step with a caller
-    /// supplied per-lane bias panel *replacing* the transition's own ambient
-    /// drive: `T⁺ = bias + R·T + S_p·p`. This is the delta-form engine's hot
-    /// call — the bias carries the whole constant term `c + (R − I)·T0` per
-    /// lane, so the deviation advance needs no follow-up pass. `tmp` is
-    /// overwritten scratch. Per-lane accumulation order matches
-    /// [`BatchStepTransitionF32::apply_lane_bias`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not all have `node_count` rows and matching
-    /// lane counts.
-    #[inline]
-    pub fn apply_panel_bias(
-        &self,
-        temps: &mut PanelF32,
-        powers: &PanelF32,
-        bias: &PanelF32,
-        tmp: &mut PanelF32,
-    ) {
-        numeric::affine_panel_bias_apply_elem(&self.r, &self.s_power, bias, temps, powers, tmp)
-            .expect("panel shapes must cover all nodes");
-        std::mem::swap(temps, tmp);
-    }
-
-    /// Advances only lane `lane` of `temps` with a per-lane bias panel — the
-    /// strided fallback twin of [`BatchStepTransitionF32::apply_panel_bias`],
-    /// accumulation order identical per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not have `node_count` rows, `lane` is out of
-    /// range, or `col` does not cover all nodes.
-    #[inline]
-    pub fn apply_lane_bias(
-        &self,
-        temps: &mut PanelF32,
-        powers: &PanelF32,
-        bias: &PanelF32,
-        lane: usize,
-        col: &mut [f32],
-    ) {
-        let n = self.n;
-        assert_eq!(temps.rows(), n, "temperature panel rows");
-        assert_eq!(powers.rows(), n, "power panel rows");
-        assert_eq!(bias.rows(), n, "bias panel rows");
-        assert_eq!(col.len(), n, "column scratch length");
-        assert!(lane < temps.lanes(), "lane index out of bounds");
-        let r = self.r.as_slice();
-        let s = self.s_power.as_slice();
-        for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = bias.get(i, lane);
-            for j in 0..n {
-                acc = numeric::simd::madd2_f32(
-                    r[i * n + j],
-                    temps.get(j, lane),
-                    s[i * n + j],
-                    powers.get(j, lane),
-                    acc,
-                );
-            }
-            *slot = acc;
-        }
-        for (i, &v) in col.iter().enumerate() {
-            temps.set(i, lane, v);
-        }
-    }
-
-    /// Advances only lane `lane` of `temps` — the strided fallback for
-    /// batches whose lanes need different transitions, accumulation order
-    /// identical to [`BatchStepTransitionF32::apply_panel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not have `node_count` rows, `lane` is out of
-    /// range, or `col` does not cover all nodes.
-    #[inline]
-    pub fn apply_lane(
-        &self,
-        temps: &mut PanelF32,
-        powers: &PanelF32,
-        lane: usize,
-        col: &mut [f32],
-    ) {
-        let n = self.n;
-        assert_eq!(temps.rows(), n, "temperature panel rows");
-        assert_eq!(powers.rows(), n, "power panel rows");
-        assert_eq!(col.len(), n, "column scratch length");
-        assert!(lane < temps.lanes(), "lane index out of bounds");
-        let r = self.r.as_slice();
-        let s = self.s_power.as_slice();
-        for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = self.ambient_drive[i];
-            for j in 0..n {
-                acc = numeric::simd::madd2_f32(
-                    r[i * n + j],
-                    temps.get(j, lane),
-                    s[i * n + j],
-                    powers.get(j, lane),
-                    acc,
-                );
-            }
-            *slot = acc;
-        }
-        for (i, &v) in col.iter().enumerate() {
-            temps.set(i, lane, v);
-        }
-    }
-}
-
 /// The eight-node plant model of the Odroid-XU+E used by the simulator.
 ///
 /// Nodes: the four big (A15) cores — the thermal hotspots with dedicated
@@ -1383,65 +1204,6 @@ mod tests {
                         "lanes={lanes} lane={lane} node={i}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_batch_transition_tracks_f64_within_budget() {
-        // The demoted transition steps the same trajectories as the f64
-        // batch within the mixed-precision budget: over 200 micro-steps
-        // (two control intervals' worth) the divergence must stay well
-        // under the engine's documented 1e-3 degC bound. Panel and per-lane
-        // f32 paths must also agree with each other to the bit.
-        let plant = ExynosThermalNetwork::odroid_xu_e();
-        let network = plant.network();
-        let boost = plant.fan_boost(0.04);
-        let batch = network.batch_step_transition(boost, 28.0, 0.01).unwrap();
-        let demoted = BatchStepTransitionF32::from_f64(&batch);
-        assert_eq!(demoted.node_count(), batch.node_count());
-
-        let n = network.node_count();
-        let lanes = 5;
-        let mut temps64 = Panel::zeros(n, lanes);
-        let mut powers64 = Panel::zeros(n, lanes);
-        let mut tmp64 = Panel::zeros(n, lanes);
-        let mut temps32 = PanelF32::zeros(n, lanes);
-        let mut powers32 = PanelF32::zeros(n, lanes);
-        let mut tmp32 = PanelF32::zeros(n, lanes);
-        let mut lane32 = temps32.clone();
-        let mut drive64 = Panel::zeros(n, lanes);
-        for lane in 0..lanes {
-            drive64.set_column(lane, batch.ambient_drive());
-            for i in 0..n {
-                let t = 45.0 + (lane * n + i) as f64 * 0.31;
-                temps64.set(i, lane, t);
-                temps32.set(i, lane, t as f32);
-                lane32.set(i, lane, t as f32);
-            }
-            let p = plant.power_vector(&[0.8, 0.9, 0.7, 0.6], 0.05, 0.3 + lane as f64 * 0.02, 0.4);
-            powers64.set_column(lane, &p);
-            for (i, &v) in p.iter().enumerate() {
-                powers32.set(i, lane, v as f32);
-            }
-        }
-        let mut scratch = vec![0.0f32; n];
-        for _ in 0..200 {
-            batch.apply_panel_bias(&mut temps64, &powers64, &drive64, &mut tmp64);
-            demoted.apply_panel(&mut temps32, &powers32, &mut tmp32);
-            for lane in 0..lanes {
-                demoted.apply_lane(&mut lane32, &powers32, lane, &mut scratch);
-            }
-        }
-        for lane in 0..lanes {
-            for i in 0..n {
-                let err = (f64::from(temps32.get(i, lane)) - temps64.get(i, lane)).abs();
-                assert!(err < 5e-4, "lane {lane} node {i}: divergence {err:.3e}");
-                assert_eq!(
-                    temps32.get(i, lane).to_bits(),
-                    lane32.get(i, lane).to_bits(),
-                    "f32 panel and lane paths must agree bitwise (lane {lane} node {i})"
-                );
             }
         }
     }
