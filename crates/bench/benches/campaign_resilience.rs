@@ -12,11 +12,13 @@
 //! The acceptance bar: resilience must be close to free. The checkpointed
 //! arm's best-of-two wall clock must stay within [`OVERHEAD_CEILING`] of the
 //! plain arm's, and both arms must fold to the **bit-identical** aggregate
-//! (compared by wire encoding, where every float is a bit pattern). The
+//! (compared by [`platform_sim::distributed::encode_sink`] bytes, where
+//! every float is a bit pattern). The
 //! measured numbers land in `BENCH_campaign_resilience.json`.
 
 use std::time::{Duration, Instant};
 
+use platform_sim::distributed::encode_sink;
 use platform_sim::{
     Calibration, CalibrationCampaign, CheckpointSink, DtpmVariant, ExperimentKind, MergeSink,
     SweepSpec, TracePolicy,
@@ -136,12 +138,12 @@ fn main() {
     std::fs::remove_file(path.with_extension("ckpt.tmp")).ok();
 
     // Resilience must be invisible in the numbers: the checkpointed fold is
-    // bit-identical to the plain one (the wire encoding renders every float
-    // by bit pattern).
+    // bit-identical to the plain one (the binary encoding stores every float
+    // as its bit pattern).
     assert!(plain_fold.is_complete() && ckpt_fold.is_complete());
     assert_eq!(
-        plain_fold.encode(),
-        ckpt_fold.encode(),
+        encode_sink(&plain_fold),
+        encode_sink(&ckpt_fold),
         "checkpointed fold diverged from the plain fold"
     );
     assert_eq!(plain_fold.aggregate().cells, cells);

@@ -3,10 +3,10 @@
 //! Two acceptance bars, both asserted on the full (non `--test`) run:
 //!
 //! * **Straggler-proofing** (floor ≥ [`SPEEDUP_FLOOR`]): micro-shard
-//!   leasing versus static [`ShardSpec::split`] when one of two workers is
-//!   a straggler. The grid is ragged twice over — DTPM cells cost more
+//!   leasing versus a static split into contiguous cell ranges when one of
+//!   two workers is a straggler. The grid is ragged twice over — DTPM cells cost more
 //!   wall time per simulated second than Reactive ones (kind-major order
-//!   hands `split(2)` all the expensive cells in shard 0), and one DTPM
+//!   hands the first half-range all the expensive cells), and one DTPM
 //!   cell panics late and is retried under the resilience policy — and on
 //!   top of that worker 0 stalls for [`STRAGGLER_STALL`] before its first
 //!   delivery. Under a static split the stalled worker's whole shard
@@ -22,8 +22,8 @@
 //!   grid.
 //!
 //! The leasing arms must fold the **bit-identical** aggregate of the
-//! in-process run (compared by wire encoding, where every float is a bit
-//! pattern) — the tax and the speed-up are both pure wall clock. Worker
+//! in-process run (compared by [`platform_sim::distributed::encode_sink`]
+//! bytes, where every float is a bit pattern) — the tax and the speed-up are both pure wall clock. Worker
 //! calibration re-derivation happens during the untimed handshake, exactly
 //! as a long campaign would amortise it. Measured numbers land in
 //! `BENCH_distributed_campaign.json`.
@@ -31,11 +31,11 @@
 use std::time::{Duration, Instant};
 
 use platform_sim::distributed::{
-    serve, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
+    encode_sink, serve, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
 };
 use platform_sim::{
     Calibration, CalibrationCampaign, ChaosPlan, Coordinator, DtpmVariant, ExperimentKind,
-    MergeSink, ResiliencePolicy, ShardSpec, SweepSpec,
+    MergeSink, ResiliencePolicy, SweepSpec,
 };
 use workload::BenchmarkId;
 
@@ -67,10 +67,10 @@ const OVERHEAD_CEILING: f64 = 1.15;
 /// The ragged grid: kind-major order puts all DTPM cells (a predictive
 /// optimisation every control interval — expensive) in the first half and
 /// all Reactive cells (a threshold check — cheap) in the second, so
-/// `split(2)` hands shard 0 all the expensive cells. One DTPM cell panics
+/// a two-way static split hands shard 0 all the expensive cells. One DTPM cell panics
 /// late in its first attempt and heals on retry, so its true cost is
 /// roughly doubled in a way no static partitioner can predict. The same
-/// spec (chaos plan included — it travels in the shard codec) runs on
+/// spec (chaos plan included — it travels in the Hello frame) runs on
 /// every arm; only the topology differs.
 fn campaign(test_mode: bool) -> SweepSpec {
     let (benchmarks, ambients, replicates, duration_s, panic_at) = if test_mode {
@@ -125,8 +125,9 @@ fn calibration_campaign() -> CalibrationCampaign {
 
 const CALIBRATION_SEED: u64 = 41;
 
-/// Static sharding with a straggler: `split(WORKERS)`, one OS thread per
-/// shard (each single-threaded, like one remote worker), and the thread
+/// Static sharding with a straggler: `WORKERS` contiguous, near-equal cell
+/// ranges, one OS thread per shard (each single-threaded, like one remote
+/// worker), and the thread
 /// holding shard 0 stalled for `stall` before it starts — a statically
 /// assigned shard has nowhere else to go, so the campaign eats the whole
 /// delay. Deterministic merge at the end.
@@ -135,24 +136,23 @@ fn run_static_split(
     calibration: &Calibration,
     stall: Duration,
 ) -> (Duration, platform_sim::CampaignAggregate) {
-    let shards = ShardSpec::split(spec, WORKERS);
+    let cells = spec.cells();
     let start = Instant::now();
     let sinks: Vec<MergeSink> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(which, shard)| {
+        let handles: Vec<_> = (0..WORKERS)
+            .map(|which| {
+                let range =
+                    (which * cells).div_ceil(WORKERS)..((which + 1) * cells).div_ceil(WORKERS);
                 scope.spawn(move || {
                     if which == 0 {
                         std::thread::sleep(stall);
                     }
-                    let mut sink = shard.merge_sink();
-                    shard
-                        .spec
-                        .runner()
+                    let mut sink = MergeSink::new(range.clone());
+                    let indices: Vec<usize> = range.collect();
+                    spec.runner()
                         .with_threads(1)
                         .with_resilience(resilience())
-                        .run_indices_into(&shard.indices(), calibration, &mut sink);
+                        .run_indices_into(&indices, calibration, &mut sink);
                     sink
                 })
             })
@@ -307,9 +307,13 @@ fn main() {
     // on the float totals instead.
     assert!(leased_fold.is_complete());
     assert!(inproc_fold.is_complete() && dist_fold.is_complete());
-    let reference = inproc_fold.encode();
-    assert_eq!(leased_fold.encode(), reference, "leased fold diverged");
-    assert_eq!(dist_fold.encode(), reference, "distributed fold diverged");
+    let reference = encode_sink(&inproc_fold);
+    assert_eq!(encode_sink(&leased_fold), reference, "leased fold diverged");
+    assert_eq!(
+        encode_sink(&dist_fold),
+        reference,
+        "distributed fold diverged"
+    );
     let inproc_agg = inproc_fold.aggregate();
     assert_eq!(inproc_agg.cells, cells);
     assert_eq!(static_fold.cells, inproc_agg.cells, "static cell count");

@@ -1,7 +1,5 @@
 //! DTPM configuration parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the DTPM algorithm.
 ///
 /// The defaults reproduce the configuration evaluated in the paper: a 63 °C
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// comparison), a 1 s prediction interval realised as ten 100 ms control
 /// intervals, and an empirically chosen hotspot-imbalance threshold Δ for the
 /// hottest-core shutdown rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtpmConfig {
     /// Maximum permissible hotspot temperature `T_max`, in °C.
     pub temperature_constraint_c: f64,

@@ -19,13 +19,12 @@
 //! component costs the least performance (Eq. 7.3). Both are implemented here
 //! so the trade-off can be quantified (experiment `fig7_1`).
 
-use serde::{Deserialize, Serialize};
 use soc_model::{Frequency, OppTable};
 
 use crate::DtpmError;
 
 /// One throttleable resource participating in the budget distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceLoad {
     /// Resource name (for reporting).
     pub name: String,
@@ -53,7 +52,7 @@ impl ResourceLoad {
 }
 
 /// How to solve the distribution problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistributionMethod {
     /// Greedy descent: repeatedly step down the frequency of the resource
     /// whose step costs the least additional execution time per watt saved
@@ -65,7 +64,7 @@ pub enum DistributionMethod {
 }
 
 /// The outcome of a budget distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionResult {
     /// Selected frequency per resource, in the order the resources were given.
     pub frequencies: Vec<Frequency>,

@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use power_model::{DomainPower, PowerModel};
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, Frequency, PlatformState, PowerDomain, SocSpec};
 use thermal_model::HorizonMap;
 
@@ -40,7 +39,7 @@ pub struct DtpmInputs<'a> {
 }
 
 /// What the policy decided to do this interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DtpmAction {
     /// No violation predicted: the default decision was affirmed unchanged.
     Affirmed,

@@ -1,10 +1,9 @@
 //! CPU frequency governors (DVFS policies).
 
-use serde::{Deserialize, Serialize};
 use soc_model::{Frequency, OppTable};
 
 /// Input the kernel hands a cpufreq governor at every sampling interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorInput {
     /// Busy fraction of the most loaded online core over the last interval,
     /// 0..1 (what `ondemand` calls the load).
@@ -24,7 +23,7 @@ pub trait CpufreqGovernor {
 }
 
 /// Which stock governor to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GovernorKind {
     /// The `ondemand` governor (the paper's default configuration).
     Ondemand,
@@ -39,7 +38,7 @@ pub enum GovernorKind {
 /// The classic `ondemand` governor: jump to the maximum frequency when the
 /// load exceeds the up-threshold, otherwise pick the lowest frequency that
 /// can serve the measured load with some headroom.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OndemandGovernor {
     /// Load above which the governor jumps straight to the maximum frequency.
     pub up_threshold: f64,
@@ -76,7 +75,7 @@ impl CpufreqGovernor for OndemandGovernor {
 
 /// A simplified `interactive` governor: ramp to a high-speed frequency as soon
 /// as the load crosses `go_hispeed_load`, then adjust around a target load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InteractiveGovernor {
     /// Load that triggers the jump to the hi-speed frequency.
     pub go_hispeed_load: f64,
@@ -118,7 +117,7 @@ impl CpufreqGovernor for InteractiveGovernor {
 }
 
 /// The `performance` governor: always the maximum frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerformanceGovernor;
 
 impl CpufreqGovernor for PerformanceGovernor {
@@ -132,7 +131,7 @@ impl CpufreqGovernor for PerformanceGovernor {
 }
 
 /// The `powersave` governor: always the minimum frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PowersaveGovernor;
 
 impl CpufreqGovernor for PowersaveGovernor {
@@ -147,7 +146,7 @@ impl CpufreqGovernor for PowersaveGovernor {
 
 /// The `userspace` governor: a fixed frequency chosen by the caller (used by
 /// the PRBS identification experiments, which toggle the frequency directly).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserspaceGovernor {
     /// The pinned frequency.
     pub frequency: Frequency,

@@ -7,11 +7,10 @@
 //! ≈20 % performance loss for this baseline, which the proposed predictive
 //! DTPM algorithm beats by a wide margin.
 
-use serde::{Deserialize, Serialize};
 use soc_model::{Frequency, OppTable};
 
 /// Throttling state of the reactive heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThrottleStage {
     /// No throttling.
     None,
@@ -22,7 +21,7 @@ enum ThrottleStage {
 }
 
 /// Reactive frequency throttler with the paper's thresholds and factors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactiveThrottler {
     /// Temperature (°C) above which the mild throttle engages.
     pub mild_threshold_c: f64,

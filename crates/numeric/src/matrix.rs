@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::NumericError;
 
 /// A dense, row-major matrix of `f64` values.
@@ -25,7 +23,7 @@ use crate::NumericError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -437,7 +435,7 @@ impl fmt::Display for Matrix {
 /// let v = Vector::from_slice(&[3.0, 4.0]);
 /// assert_eq!(v.norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

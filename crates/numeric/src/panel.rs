@@ -38,8 +38,6 @@
 //! # }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::aligned::{AlignedVec, PANEL_ALIGN};
 use crate::matrix::Matrix;
 use crate::simd::{self, madd, madd2, PanelKernel};
@@ -51,7 +49,7 @@ pub const LANE_CHUNK: usize = 8;
 /// A structure-of-arrays panel: `rows` state elements for `lanes` independent
 /// scenarios, stored row-major (`data[i * lanes + l]` is element `i` of
 /// scenario `l`) in [`crate::PANEL_ALIGN`]-byte-aligned storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Panel {
     rows: usize,
     lanes: usize,

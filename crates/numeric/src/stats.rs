@@ -6,8 +6,6 @@
 //! as relative savings/loss. All of those reductions live here so every crate
 //! computes them identically.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a scalar time series.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean, 2.5);
 /// assert_eq!(s.max - s.min, 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -85,9 +83,6 @@ impl Summary {
 /// assert_eq!(w.mean(), 2.5);
 /// assert_eq!(w.max() - w.min(), 3.0);
 /// ```
-// Deliberately not serde-derived: an empty accumulator's ±∞ min/max
-// sentinels do not round-trip through JSON-style formats. Serialise the
-// finished [`Summary`] instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welford {
     count: usize,

@@ -7,7 +7,6 @@
 //! and divide by `V²f`. The estimate is then used to predict the dynamic
 //! power of *candidate* frequencies before the governor commits to one.
 
-use serde::{Deserialize, Serialize};
 use soc_model::{Frequency, Voltage};
 
 use crate::leakage::LeakageModel;
@@ -25,7 +24,7 @@ use crate::leakage::LeakageModel;
 /// let p = core.power_w(Voltage::from_volts(1.2), Frequency::from_mhz(1600));
 /// assert!((p - 0.69).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicPowerModel {
     /// Effective switched capacitance `αC` in farads.
     alpha_c_f: f64,
@@ -72,7 +71,7 @@ impl DynamicPowerModel {
 /// leakage and updates an exponentially-weighted moving average of `αC`. The
 /// smoothing mirrors the kernel implementation, which must tolerate sensor
 /// noise and abrupt workload phase changes without oscillating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityEstimator {
     /// Current EWMA of the `αC` product, in farads.
     alpha_c_f: f64,

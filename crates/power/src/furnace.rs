@@ -13,14 +13,13 @@
 //! the die temperature to the furnace setpoint (a light workload cannot raise
 //! it appreciably) and samples the power model plus measurement noise.
 
-use serde::{Deserialize, Serialize};
 use soc_model::Voltage;
 
 use crate::leakage::LeakageModel;
 use crate::PowerError;
 
 /// One logged power sample inside the furnace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FurnaceSample {
     /// Time since the start of the run, in seconds.
     pub time_s: f64,
@@ -31,7 +30,7 @@ pub struct FurnaceSample {
 }
 
 /// All samples collected at one furnace setpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FurnaceRun {
     /// Furnace setpoint (ambient temperature), in °C.
     pub ambient_c: f64,
@@ -62,7 +61,7 @@ impl FurnaceRun {
 }
 
 /// A complete furnace sweep: one run per ambient setpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FurnaceDataset {
     /// Supply voltage of the characterised domain during the sweep.
     pub supply: Voltage,

@@ -10,7 +10,6 @@ use dtpm::ThermalPredictor;
 use governors::{CpufreqGovernor, UserspaceGovernor};
 use numeric::Vector;
 use power_model::{ActivityEstimator, DomainPowerModel, LeakageModel, PowerModel};
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, Frequency, PlatformState, PowerDomain, SocSpec};
 use sysid::{
     identify, n_step_prediction, IdentificationDataset, IdentificationOptions, PrbsConfig,
@@ -36,7 +35,7 @@ pub struct Calibration {
 }
 
 /// Configuration of the characterisation campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationCampaign {
     /// Ambient temperature during the identification experiments, °C.
     pub ambient_c: f64,

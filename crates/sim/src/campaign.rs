@@ -1,4 +1,4 @@
-//! Declarative sweep campaigns: a serde-able grid specification expanded
+//! Declarative sweep campaigns: a grid specification expanded
 //! lazily into experiment configurations and streamed through the
 //! lane-compacting sweep.
 //!
@@ -31,7 +31,6 @@
 //!   memory is O(cells), never O(cells × intervals).
 
 use dtpm::DtpmConfig;
-use serde::{Deserialize, Serialize};
 use workload::BenchmarkId;
 
 use crate::calibrate::Calibration;
@@ -42,14 +41,6 @@ use crate::faults::FaultPlan;
 use crate::observer::TracePolicy;
 use crate::plant::PlantPowerParams;
 use crate::resilience::{CampaignCheckpoint, ChaosPlan, ResiliencePolicy};
-
-fn default_fault_axis() -> Vec<Option<FaultPlan>> {
-    vec![None]
-}
-
-fn default_chaos_cells() -> Vec<(usize, ChaosPlan)> {
-    Vec::new()
-}
 
 /// SplitMix64: the finalising mix of a 64-bit counter into a well-distributed
 /// 64-bit value (Steele et al., *Fast splittable pseudorandom number
@@ -66,7 +57,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// the temperature constraint, the two knobs the paper's sensitivity
 /// discussions vary. Non-DTPM kinds ignore this axis — declare a single
 /// variant when mixing kinds, or the grid runs redundant baseline cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtpmVariant {
     /// Prediction horizon in control intervals.
     pub horizon_steps: usize,
@@ -129,7 +120,7 @@ impl DtpmVariant {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The thermal-management configurations to run (grid axis 1).
     pub kinds: Vec<ExperimentKind>,
@@ -144,7 +135,6 @@ pub struct SweepSpec {
     /// fault-free baseline. Defaults to a single fault-free entry, which
     /// leaves the cell indexing (and therefore every derived seed) of
     /// pre-fault-axis campaigns unchanged.
-    #[serde(default = "default_fault_axis")]
     pub fault_plans: Vec<Option<FaultPlan>>,
     /// Replicate runs per grid point (grid axis 6, the seed axis): each
     /// replicate derives a distinct per-cell seed.
@@ -166,14 +156,12 @@ pub struct SweepSpec {
     /// goes at the next benchmark change. It renders into
     /// [`SweepSpec::fingerprint`] and the worker wire format exactly as
     /// before, so existing checkpoints still resume.
-    #[serde(default)]
     pub precision: EnginePrecision,
     /// Deterministic executor-fault injection pinned to specific cells:
     /// each `(cell index, plan)` entry makes that cell's control loop carry
     /// the [`ChaosPlan`] — the containment/retry test hook, now a campaign
     /// property so distributed and in-process executions of the same spec
     /// inject identical faults. Empty (the default) is entirely inert.
-    #[serde(default = "default_chaos_cells")]
     pub chaos_cells: Vec<(usize, ChaosPlan)>,
 }
 
@@ -188,7 +176,7 @@ impl SweepSpec {
             benchmarks,
             ambients_c: vec![defaults.ambient_c],
             dtpm_variants: vec![DtpmVariant::default()],
-            fault_plans: default_fault_axis(),
+            fault_plans: vec![None],
             replicates: 1,
             campaign_seed: 1,
             base_dtpm: defaults.dtpm,
@@ -197,7 +185,7 @@ impl SweepSpec {
             plant: defaults.plant,
             ideal_sensors: defaults.ideal_sensors,
             precision: EnginePrecision::F64,
-            chaos_cells: default_chaos_cells(),
+            chaos_cells: Vec::new(),
         }
     }
 

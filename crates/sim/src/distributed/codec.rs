@@ -1,26 +1,23 @@
-//! The binary wire codec for distributed campaign payloads: compact
-//! little-endian encodings of the shard/result/checkpoint value types,
-//! built on [`numeric::codec`]'s primitives.
+//! The binary codec for campaign state: compact little-endian encodings of
+//! the spec, result and checkpoint value types, built on
+//! [`numeric::codec`]'s primitives. It is the crate's one serialiser — the
+//! distributed protocol and the on-disk checkpoint both use it.
 //!
 //! Two usage tiers share the field encoders below:
 //!
 //! * **Protocol messages** (`super::protocol`) embed the field encoders
 //!   directly inside length-prefixed frames — the transport's framing
 //!   bounds the payload, so no per-message checksum is added.
-//! * **Standalone blobs** ([`encode_shard`], [`encode_sink`],
-//!   [`encode_checkpoint`]) are self-describing: a 4-byte type magic, the
-//!   payload, and a trailing CRC32 over everything before it — the format
-//!   for payloads that touch disk or cross an untrusted boundary. Their
-//!   decoders verify the checksum *first* ([`crate::SimError::Corrupted`]
-//!   on mismatch), then the magic, then the structure.
+//! * **Standalone blobs** ([`encode_sink`], [`encode_checkpoint`]) are
+//!   self-describing: a 4-byte type magic, the payload, and a trailing
+//!   CRC32 over everything before it — the format for payloads that touch
+//!   disk or cross an untrusted boundary. Their decoders verify the
+//!   checksum *first* ([`crate::SimError::Corrupted`] on mismatch), then
+//!   the magic, then the structure.
 //!
-//! The discipline matches the PR 9 text format exactly where it matters:
-//! floats travel as their 64-bit patterns, so decode∘encode is the
-//! identity on every value including NaN payloads, negative zero and
-//! infinities — "distributed" and "in-process" describe the same bits. The
-//! text encoding remains the human-readable checkpoint format; this codec
-//! is the machine-to-machine fast path (see the `distributed_campaign`
-//! bench).
+//! Floats travel as their 64-bit patterns, so decode∘encode is the identity
+//! on every value including NaN payloads, negative zero and infinities —
+//! "distributed", "resumed" and "in-process" describe the same bits.
 //!
 //! Enum variants are encoded as stable tag bytes through exhaustive
 //! matches, so adding a variant without extending the codec is a compile
@@ -42,8 +39,8 @@ use crate::experiment::ExperimentKind;
 use crate::faults::{FaultKind, FaultPlan, FaultWindow, SensorChannel};
 use crate::plant::PlantPowerParams;
 use crate::resilience::{
-    CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, MergeSink, ResiliencePolicy, ShardSpec,
+    CampaignAggregate, CampaignCheckpoint, CellFailure, CellOutcome, CellStats, ChaosPlan,
+    MergeSink, ResiliencePolicy,
 };
 
 /// Converts a primitive-codec failure into the crate error type.
@@ -52,7 +49,7 @@ pub(crate) fn codec_error(e: CodecError) -> SimError {
 }
 
 /// A structural decode failure above the primitive layer.
-fn malformed(what: &str) -> SimError {
+pub(crate) fn malformed(what: impl std::fmt::Display) -> SimError {
     SimError::Io(format!("malformed binary payload: {what}"))
 }
 
@@ -628,7 +625,7 @@ pub(crate) fn put_sink(w: &mut ByteWriter, sink: &MergeSink) {
 }
 
 /// Decodes a [`MergeSink`] written by [`put_sink`], re-validating every
-/// structural invariant through the same constructor as the text decoder.
+/// structural invariant through [`MergeSink::from_parts`].
 pub(crate) fn take_sink(r: &mut ByteReader<'_>) -> Result<MergeSink, SimError> {
     let start = r.take_usize().map_err(codec_error)?;
     let end = r.take_usize().map_err(codec_error)?;
@@ -654,64 +651,29 @@ pub(crate) fn take_sink(r: &mut ByteReader<'_>) -> Result<MergeSink, SimError> {
     MergeSink::from_parts(start, end, next, aggregate, pending, failures)
 }
 
-/// Encodes a [`ShardSpec`] (the shared grid plus the owned range).
-pub(crate) fn put_shard(w: &mut ByteWriter, shard: &ShardSpec) {
-    put_spec(w, &shard.spec);
-    w.put_usize(shard.start);
-    w.put_usize(shard.end);
-}
-
-/// Decodes a [`ShardSpec`] written by [`put_shard`], validating the range
-/// against the decoded grid.
-pub(crate) fn take_shard(r: &mut ByteReader<'_>) -> Result<ShardSpec, SimError> {
-    let spec = take_spec(r)?;
-    let start = r.take_usize().map_err(codec_error)?;
-    let end = r.take_usize().map_err(codec_error)?;
-    if start > end {
-        return Err(malformed("inverted shard range"));
-    }
-    if end > spec.cells() {
-        return Err(malformed("shard range reaches past the grid"));
-    }
-    Ok(ShardSpec { spec, start, end })
-}
-
-/// Encodes a [`CampaignCheckpoint`] (fingerprint, bitmap, fold).
-pub(crate) fn put_checkpoint(w: &mut ByteWriter, checkpoint: &CampaignCheckpoint) {
+/// Encodes a [`CampaignCheckpoint`]: its grid fingerprint, then its fold.
+fn put_checkpoint(w: &mut ByteWriter, checkpoint: &CampaignCheckpoint) {
     w.put_u64(checkpoint.fingerprint());
-    let bitmap = checkpoint.bitmap();
-    w.put_usize(bitmap.len());
-    for &word in bitmap.words() {
-        w.put_u64(word);
-    }
     put_sink(w, checkpoint.fold());
 }
 
 /// Decodes a [`CampaignCheckpoint`] written by [`put_checkpoint`],
-/// re-validating the bitmap/fold consistency through the same constructors
-/// as the text decoder.
-pub(crate) fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoint, SimError> {
+/// re-validating the fold through [`take_sink`] and its grid coverage
+/// through [`CampaignCheckpoint::from_parts`].
+fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoint, SimError> {
     let fingerprint = r.take_u64().map_err(codec_error)?;
-    let cells = r.take_usize().map_err(codec_error)?;
-    let word_count = cells.div_ceil(64);
-    let mut words = Vec::with_capacity(word_count.min(1 << 20));
-    for _ in 0..word_count {
-        words.push(r.take_u64().map_err(codec_error)?);
-    }
-    let bitmap = CellBitmap::from_words(words, cells)?;
     let fold = take_sink(r)?;
-    CampaignCheckpoint::from_parts(fingerprint, bitmap, fold)
+    CampaignCheckpoint::from_parts(fingerprint, fold)
 }
 
 // ---------------------------------------------------------------------------
 // Standalone blobs: magic + payload + CRC32.
 
-/// Type magic of a standalone shard blob.
-const SHARD_MAGIC: u32 = u32::from_le_bytes(*b"DSH1");
 /// Type magic of a standalone merge-sink blob.
 const SINK_MAGIC: u32 = u32::from_le_bytes(*b"DSK1");
-/// Type magic of a standalone checkpoint blob.
-const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"DCP1");
+/// Type magic of a standalone checkpoint blob. Version 2 is fingerprint +
+/// fold; version 1 also carried a completed-cell bitmap and is rejected.
+const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"DCP2");
 
 /// Seals a payload as a standalone blob: magic, payload, CRC32 over both.
 fn seal_blob(magic: u32, fill: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
@@ -757,27 +719,8 @@ fn finish_blob<T>(r: &ByteReader<'_>, value: T) -> Result<T, SimError> {
     Ok(value)
 }
 
-/// Serialises a [`ShardSpec`] as a CRC32-sealed binary blob — the payload a
-/// driver ships to a remote worker.
-pub fn encode_shard(shard: &ShardSpec) -> Vec<u8> {
-    seal_blob(SHARD_MAGIC, |w| put_shard(w, shard))
-}
-
-/// Decodes a blob written by [`encode_shard`], bit-exactly.
-///
-/// # Errors
-///
-/// Returns [`SimError::Corrupted`] on checksum/magic mismatch and
-/// [`SimError::Io`] on structurally malformed content.
-pub fn decode_shard(bytes: &[u8]) -> Result<ShardSpec, SimError> {
-    let mut r = open_blob(bytes, SHARD_MAGIC, "shard")?;
-    let shard = take_shard(&mut r)?;
-    finish_blob(&r, shard)
-}
-
-/// Serialises a [`MergeSink`]'s full state as a CRC32-sealed binary blob —
-/// the result payload a worker ships back (any fold state round-trips,
-/// complete or mid-flight).
+/// Serialises a [`MergeSink`]'s full state as a CRC32-sealed binary blob
+/// (any fold state round-trips, complete or mid-flight).
 pub fn encode_sink(sink: &MergeSink) -> Vec<u8> {
     seal_blob(SINK_MAGIC, |w| put_sink(w, sink))
 }
@@ -795,8 +738,7 @@ pub fn decode_sink(bytes: &[u8]) -> Result<MergeSink, SimError> {
 }
 
 /// Serialises a [`CampaignCheckpoint`] as a CRC32-sealed binary blob — the
-/// compact machine-to-machine form of the text checkpoint (which remains
-/// the human-readable on-disk format).
+/// on-disk checkpoint format ([`CampaignCheckpoint::write_atomic`]).
 pub fn encode_checkpoint(checkpoint: &CampaignCheckpoint) -> Vec<u8> {
     seal_blob(CHECKPOINT_MAGIC, |w| put_checkpoint(w, checkpoint))
 }
@@ -817,6 +759,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CampaignCheckpoint, SimError> {
 mod tests {
     use super::*;
     use crate::experiment::ExperimentKind;
+    use proptest::prelude::*;
 
     fn spec() -> SweepSpec {
         SweepSpec::new(
@@ -865,18 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_blobs_round_trip_bit_exactly() {
-        let shard = ShardSpec::new(spec(), 3, 17);
-        let blob = encode_shard(&shard);
-        assert_eq!(decode_shard(&blob).expect("round trip"), shard);
-        // The grid identity survives the wire: same fingerprint both sides.
-        assert_eq!(
-            decode_shard(&blob).unwrap().spec.fingerprint(),
-            shard.spec.fingerprint()
-        );
-    }
-
-    #[test]
     fn sink_blobs_round_trip_mid_flight_state() {
         let mut sink = MergeSink::new(3..40);
         for k in [3, 4, 5, 9, 12, 11, 30] {
@@ -895,88 +826,120 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_blobs_round_trip_and_match_the_text_format() {
+    fn checkpoint_blobs_are_a_fingerprint_plus_a_fold() {
         let mut checkpoint = CampaignCheckpoint::new(0xF00D, 70);
         for k in [0, 2, 64, 69] {
             checkpoint.record(k, Err(SimError::Panicked(format!("boom {k}"))));
         }
         let blob = encode_checkpoint(&checkpoint);
-        let decoded = decode_checkpoint(&blob).expect("round trip");
-        assert_eq!(decoded, checkpoint);
-        // Binary and text decoders agree on the same state.
-        assert_eq!(
-            CampaignCheckpoint::decode(&checkpoint.encode()).expect("text"),
-            decoded
-        );
-        // And the binary form is the compact one.
-        assert!(
-            blob.len() < checkpoint.encode().len(),
-            "binary blob ({} B) should undercut the text form ({} B)",
-            blob.len(),
-            checkpoint.encode().len()
-        );
+        assert_eq!(decode_checkpoint(&blob).expect("round trip"), checkpoint);
+        // Magic, fingerprint, the fold's own payload, checksum: nothing
+        // else records which cells are done.
+        let sink = encode_sink(checkpoint.fold());
+        assert_eq!(blob.len(), sink.len() + 8);
+        assert_eq!(&blob[4..12], &0xF00D_u64.to_le_bytes());
+        assert_eq!(&blob[12..blob.len() - 4], &sink[4..sink.len() - 4]);
     }
 
     #[test]
     fn corrupted_blobs_are_rejected_wholesale() {
-        let shard = ShardSpec::new(spec(), 0, 10);
-        let good = encode_shard(&shard);
+        let mut checkpoint = CampaignCheckpoint::new(0xBEEF, 10);
+        for k in [0, 1, 4] {
+            checkpoint.record(k, Err(SimError::Panicked(format!("boom {k}"))));
+        }
+        let good = encode_checkpoint(&checkpoint);
         // Any single flipped byte anywhere in the blob is caught.
         for position in [0, 4, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[position] ^= 0x40;
             assert!(
-                matches!(decode_shard(&bad), Err(SimError::Corrupted(_))),
+                matches!(decode_checkpoint(&bad), Err(SimError::Corrupted(_))),
                 "flip at {position}"
             );
         }
         // Truncation is caught by the checksum too.
         assert!(matches!(
-            decode_shard(&good[..good.len() - 5]),
+            decode_checkpoint(&good[..good.len() - 5]),
             Err(SimError::Corrupted(_))
         ));
-        assert!(matches!(decode_shard(&[]), Err(SimError::Corrupted(_))));
-        // A valid sink blob is not a valid shard blob (magic check).
+        assert!(matches!(
+            decode_checkpoint(&[]),
+            Err(SimError::Corrupted(_))
+        ));
+        // A valid sink blob is not a valid checkpoint blob (magic check),
+        // and neither is a checkpoint sealed under the retired version-1
+        // magic.
         let sink_blob = encode_sink(&MergeSink::new(0..4));
         assert!(matches!(
-            decode_shard(&sink_blob),
+            decode_checkpoint(&sink_blob),
+            Err(SimError::Corrupted(_))
+        ));
+        let retired = seal_blob(u32::from_le_bytes(*b"DCP1"), |w| {
+            put_checkpoint(w, &checkpoint)
+        });
+        assert!(matches!(
+            decode_checkpoint(&retired),
             Err(SimError::Corrupted(_))
         ));
 
-        // A correctly sealed blob naming a retired engine precision (tags 1
-        // and 2, the removed f32 engines) is malformed content: a structured
-        // error, never a panic.
-        let plain = ShardSpec::new(
-            SweepSpec {
-                chaos_cells: Vec::new(),
-                ..spec()
-            },
-            0,
-            10,
-        );
-        let mut payload = ByteWriter::new();
-        put_shard(&mut payload, &plain);
-        let payload = payload.into_bytes();
-        // The precision byte precedes the chaos-cell count and the range.
-        let tag_at = payload.len() - 3 * 8 - 1;
-        let seal_with_tag = |tag: u8| {
-            seal_blob(SHARD_MAGIC, |w| {
-                for (k, &byte) in payload.iter().enumerate() {
-                    w.put_u8(if k == tag_at { tag } else { byte });
-                }
-            })
+        // A spec (as the Hello frame carries it) naming a retired engine
+        // precision (tags 1 and 2, the removed f32 engines) is malformed
+        // content: a structured error, never a panic.
+        let plain = SweepSpec {
+            chaos_cells: Vec::new(),
+            ..spec()
         };
-        assert_eq!(
-            decode_shard(&seal_with_tag(0)).expect("tag 0 is F64"),
-            plain
-        );
+        let mut payload = ByteWriter::new();
+        put_spec(&mut payload, &plain);
+        let payload = payload.into_bytes();
+        // The precision byte precedes the (empty) chaos-cell count.
+        let tag_at = payload.len() - 8 - 1;
+        let with_tag = |tag: u8| {
+            let mut bytes = payload.clone();
+            bytes[tag_at] = tag;
+            take_spec(&mut ByteReader::new(&bytes))
+        };
+        assert_eq!(with_tag(0).expect("tag 0 is F64"), plain);
         for retired in [1u8, 2] {
-            match decode_shard(&seal_with_tag(retired)) {
+            match with_tag(retired) {
                 Err(SimError::Io(msg)) => {
                     assert!(msg.contains("retired engine precision"), "{msg}")
                 }
                 other => panic!("retired tag {retired} decoded as {other:?}"),
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        /// The spec encoding the Hello frame carries round-trips arbitrary
+        /// grids bit-exactly, fingerprint included.
+        fn spec_codec_round_trips(
+            seed in 0i64..i64::MAX,
+            ambients in prop::collection::vec(-40.0f64..120.0, 1..4),
+            replicates in 1usize..4,
+            chaos_cell in 0usize..1000,
+        ) {
+            let spec = SweepSpec::new(
+                vec![ExperimentKind::Dtpm, ExperimentKind::WithoutFan],
+                vec![BenchmarkId::Fft, BenchmarkId::Gsm],
+            )
+            .with_ambients_c(ambients)
+            .with_replicates(replicates)
+            .with_campaign_seed(seed as u64)
+            .with_cell_chaos(chaos_cell, ChaosPlan::panic_at(seed as usize % 7));
+            let mut w = ByteWriter::new();
+            put_spec(&mut w, &spec);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let decoded = take_spec(&mut r).expect("decode");
+            r.finish().expect("no trailing bytes");
+            prop_assert_eq!(&decoded, &spec);
+            prop_assert_eq!(decoded.fingerprint(), spec.fingerprint());
+            // Re-encoding the decoded value reproduces the exact bytes.
+            let mut again = ByteWriter::new();
+            put_spec(&mut again, &decoded);
+            prop_assert_eq!(again.into_bytes(), bytes);
         }
     }
 }

@@ -1,13 +1,10 @@
-//! Distributed campaign execution: worker processes, binary shard
-//! transport, and straggler-proof micro-shard leasing.
+//! Distributed campaign execution: worker processes, a binary transport,
+//! and straggler-proof micro-shard leasing.
 //!
-//! PR 9's resilience layer built the in-process half of sharded campaigns —
-//! [`crate::resilience::ShardSpec`] slices, the order-independent
-//! [`MergeSink`](crate::resilience::MergeSink) fold, checkpoint wire
-//! encoding. This module adds the
-//! missing half the ROADMAP's "sharded campaigns across processes/hosts"
-//! item names: a real transport that ships work out to worker *processes*
-//! and folds result blobs back deterministically.
+//! The resilience layer provides the in-process half — the order-independent
+//! [`MergeSink`](crate::resilience::MergeSink) fold and durable
+//! checkpoints. This module adds a real transport that ships work out to
+//! worker *processes* and folds their results back deterministically.
 //!
 //! # Architecture
 //!
@@ -33,8 +30,8 @@
 //! * **Micro-shard leasing, not static splits.** The coordinator leases
 //!   small index ranges from the remaining-cell queue as workers report in,
 //!   so a slow worker naturally takes fewer cells — the shard-level
-//!   analogue of the lane-compacting scheduler, and the fix for static
-//!   `split`'s convoy on ragged grids. A lease whose worker misses its
+//!   analogue of the lane-compacting scheduler, and the fix for a static
+//!   split's convoy on ragged grids. A lease whose worker misses its
 //!   heartbeat deadline or dies is put back on the queue and re-leased; a
 //!   worker that merely stalled and finishes late is folded through
 //!   **cell-index dedup**, so a twice-landed shard counts once.
@@ -46,11 +43,10 @@
 //!   matter which worker ran which cell, how leases interleaved, or how
 //!   many re-leases a straggler caused (proven by the chaos proptests in
 //!   `tests/distributed.rs`).
-//! * **Binary payloads** ([`codec`]): shard/result/checkpoint payloads
-//!   travel as compact little-endian binary (floats as exact bit patterns,
-//!   the text format's discipline) with CRC32-sealed standalone blobs —
-//!   dispatch overhead is codec-bound, not text-format-bound. The PR 9 text
-//!   encoding remains the human-readable checkpoint format.
+//! * **Binary payloads** ([`codec`]): specs, per-cell results and
+//!   checkpoints travel as compact little-endian binary (floats as exact
+//!   bit patterns), with CRC32-sealed standalone blobs for the fold and the
+//!   on-disk checkpoint. It is the crate's only serialiser.
 //!
 //! Calibration is *not* serialised: workers re-derive it from the shipped
 //! [`crate::CalibrationCampaign`] parameters and seed, which is both small
@@ -74,9 +70,7 @@ mod protocol;
 pub mod transport;
 pub mod worker;
 
-pub use codec::{
-    decode_checkpoint, decode_shard, decode_sink, encode_checkpoint, encode_shard, encode_sink,
-};
+pub use codec::{decode_checkpoint, decode_sink, encode_checkpoint, encode_sink};
 pub use coordinator::{Coordinator, DistributedReport, LeaseStats, WorkerPool};
 pub use transport::{
     read_frame, write_frame, ChildTransport, MemoryTransport, StdioTransport, TcpTransport,

@@ -29,7 +29,6 @@
 //! mid-flight — the basis of the lane-compacting scheduler in
 //! [`crate::ScenarioSweep`].
 
-use serde::{Deserialize, Serialize};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
@@ -43,9 +42,9 @@ use crate::SimError;
 /// The single variant exists only because the frozen `campaign_e2e` benchmark
 /// prints [`crate::SweepSpec::precision`]; it goes with that field at the
 /// next benchmark change. It still occupies one byte in the campaign
-/// fingerprint and the worker wire format (tag 0), so specs, checkpoints and
-/// shard blobs written before the f32 engine was removed stay readable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// fingerprint and the worker wire format (tag 0), so spec fingerprints and
+/// encodings are unchanged by the f32 engine's removal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnginePrecision {
     /// Full f64 panels.
     #[default]

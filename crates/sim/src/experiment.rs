@@ -20,7 +20,6 @@ use governors::{
     ReactiveThrottler,
 };
 use power_model::{DomainPower, PowerModel};
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec};
 use thermal_model::HorizonMap;
 use workload::{BenchmarkId, Demand, WorkloadState};
@@ -38,7 +37,7 @@ use crate::trace::{Trace, TraceRecord};
 use crate::SimError;
 
 /// The experimental configurations of Section 6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentKind {
     /// Stock governors with the board fan enabled (the paper's baseline).
     DefaultWithFan,
@@ -77,7 +76,7 @@ impl std::fmt::Display for ExperimentKind {
 }
 
 /// Configuration of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Which thermal-management configuration to run.
     pub kind: ExperimentKind,
@@ -100,18 +99,15 @@ pub struct ExperimentConfig {
     pub ideal_sensors: bool,
     /// Sensor fault scenario injected over the sampled readings (`None` or
     /// an empty plan: healthy sensors). Deterministic per plan seed.
-    #[serde(default)]
     pub faults: Option<FaultPlan>,
     /// Safety ladder and sensor-health configuration. The default arms both
     /// layers; their thresholds sit above every fault-free trajectory, so
     /// healthy runs are bit-identical with or without them
     /// ([`SafetyConfig::disabled`] turns both off).
-    #[serde(default)]
     pub safety: SafetyConfig,
     /// Deterministic executor-fault injection for containment testing
     /// (`None`: no injected faults, zero per-interval work). See
     /// [`ChaosPlan`].
-    #[serde(default)]
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -168,7 +164,7 @@ impl ExperimentConfig {
 /// streamed [`RunSummary`] plus whatever trajectory its observer retained
 /// (full under [`TracePolicy::Full`], coarse under
 /// [`TracePolicy::Decimated`], none under [`TracePolicy::SummaryOnly`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The streamed per-run summary (O(1) in the run length).
     pub summary: RunSummary,
@@ -209,7 +205,7 @@ impl RunReport {
 }
 
 /// Outcome of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// The configuration that produced this result.
     pub config: ExperimentConfig,

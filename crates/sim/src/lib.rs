@@ -34,12 +34,12 @@
 //!   through a [`observer::RunObserver`] (full-trace, decimated, or
 //!   summary-only retention) and every run produces an O(1)
 //!   [`metrics::RunSummary`] from online accumulators.
-//! * [`campaign`] — declarative sweep campaigns: a serde-able
+//! * [`campaign`] — declarative sweep campaigns: a
 //!   [`campaign::SweepSpec`] grid (kinds × benchmarks × ambients ×
 //!   replicates × DTPM variants) expanded lazily with deterministic per-cell
 //!   seeds and streamed through the compacting sweep into a
 //!   [`experiment::ResultSink`].
-//! * [`faults`] — seed-deterministic sensor fault injection: a serde-able
+//! * [`faults`] — seed-deterministic sensor fault injection: a
 //!   [`faults::FaultPlan`] of per-channel fault windows (stuck-at, dropped,
 //!   offset drift, spikes, delayed readings) applied to the *measured*
 //!   chain by a [`faults::FaultInjector`], and exposed as a
@@ -67,8 +67,8 @@
 //!   for benchmarking and trajectory-equivalence tests.
 //! * [`resilience`] — the robustness layer for long campaigns: atomic
 //!   checkpoint/resume ([`resilience::CampaignCheckpoint`] /
-//!   [`resilience::CheckpointSink`]), deterministic shard merge
-//!   ([`resilience::ShardSpec`] / [`resilience::MergeSink`]) and the
+//!   [`resilience::CheckpointSink`]), the deterministic merge fold
+//!   ([`resilience::MergeSink`]) and the
 //!   cell-level fault-containment policy ([`resilience::ResiliencePolicy`]:
 //!   contained panics, bounded deterministic retry, cooperative per-cell
 //!   deadlines) the sweep executor enforces.
@@ -287,8 +287,8 @@ pub use naive::NaivePhysicalPlant;
 pub use observer::{DecimatedTrace, OnlineRunStats, RunObserver, TracePolicy};
 pub use plant::{PhysicalPlant, PlantPowerParams};
 pub use resilience::{
-    CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, CheckpointSink, MergeSink, ResiliencePolicy, ShardSpec,
+    CampaignAggregate, CampaignCheckpoint, CellFailure, CellOutcome, CellStats, ChaosPlan,
+    CheckpointSink, MergeSink, ResiliencePolicy,
 };
 pub use safety::{
     FaultObservation, HealthConfig, Incident, IncidentKind, IncidentLog, LadderConfig,

@@ -1,14 +1,13 @@
 //! Cross-configuration metrics: power savings, performance loss, stability.
 
 use numeric::Summary;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{ExperimentConfig, SimulationResult};
 use crate::observer::{OnlineRunStats, RunObserver};
 use crate::safety::IncidentLog;
 
 /// Thermal stability metrics of one run (the quantities behind Figure 6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityReport {
     /// Mean of the maximum core temperature, °C.
     pub mean_temp_c: f64,
@@ -68,7 +67,7 @@ impl StabilityReport {
 /// trace-retaining policy produce the identical summary (the streaming
 /// accumulators see the same records the trace retains; see
 /// [`RunSummary::of`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// The configuration that produced this run.
     pub config: ExperimentConfig,
@@ -91,7 +90,6 @@ pub struct RunSummary {
     /// Every robustness event of the run: sensor faults and recoveries,
     /// safety-ladder transitions, policy demotions/promotions, shutdown.
     /// Empty for a healthy run.
-    #[serde(default)]
     pub incidents: IncidentLog,
 }
 
@@ -130,7 +128,7 @@ impl RunSummary {
 
 /// Comparison of one configuration against a baseline run of the same
 /// benchmark (the quantities behind Figures 6.9 and 6.10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkComparison {
     /// Platform power saving relative to the baseline, percent (positive =
     /// the evaluated configuration uses less power).

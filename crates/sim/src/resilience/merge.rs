@@ -16,9 +16,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use numeric::stats::Welford;
-use serde::{Deserialize, Serialize};
 
-use super::wire;
+use crate::distributed::codec::malformed;
 use crate::error::SimError;
 use crate::experiment::{ResultSink, RunReport};
 use crate::metrics::RunSummary;
@@ -30,7 +29,7 @@ const RETAINED_FAILURES: usize = 64;
 
 /// The O(1) aggregation projection of one completed cell's [`RunSummary`]:
 /// everything the campaign-level statistics fold over, nothing per-interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellStats {
     /// Whether the benchmark ran to completion within its duration cap.
     pub completed: bool,
@@ -76,7 +75,7 @@ impl From<&RunSummary> for CellStats {
 
 /// A quarantined cell: the structured record a failing cell leaves behind
 /// while the campaign continues without it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's linear grid index.
     pub index: usize,
@@ -86,7 +85,7 @@ pub struct CellFailure {
 }
 
 /// One cell's terminal outcome in the merge stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
     /// The cell ran; its aggregation projection.
     Completed(CellStats),
@@ -114,7 +113,7 @@ impl CellOutcome {
 /// accumulators over the per-cell summaries, maintained by [`MergeSink`] in
 /// canonical cell order. Two aggregates over disjoint index ranges combine
 /// exactly commutatively through [`CampaignAggregate::merge`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignAggregate {
     /// Cells folded into this aggregate (successes and failures).
     pub cells: usize,
@@ -207,9 +206,9 @@ impl CampaignAggregate {
 /// One sink per shard (or one over the whole grid for unsharded campaigns);
 /// completed shard sinks combine through [`MergeSink::merge_all`]. The
 /// sink's full state round-trips bit-exactly through
-/// [`MergeSink::encode`]/[`MergeSink::decode`] — the shard wire format,
-/// also embedded in campaign checkpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`crate::distributed::encode_sink`]/[`crate::distributed::decode_sink`],
+/// and the same encoding is embedded in campaign checkpoints.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergeSink {
     start: usize,
     end: usize,
@@ -345,40 +344,14 @@ impl MergeSink {
         Ok(merged)
     }
 
-    /// Serialises the sink's full state (the shard wire format).
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str("merge-sink v1\n");
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decodes a sink serialised by [`MergeSink::encode`], bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Io`] on malformed input.
-    pub fn decode(text: &str) -> Result<MergeSink, SimError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != "merge-sink v1" {
-            return Err(wire::malformed(format!("bad header {header:?}")));
-        }
-        let sink = MergeSink::decode_from(&mut lines)?;
-        if lines.next().is_some() {
-            return Err(wire::malformed("trailing data after merge sink"));
-        }
-        Ok(sink)
-    }
-
     /// The fold cursor: the next cell index the in-order fold is waiting
-    /// for. Crate-internal, for the wire codecs.
+    /// for. Crate-internal, for the binary codec and checkpoints.
     pub(crate) fn next_index(&self) -> usize {
         self.next
     }
 
     /// The buffered out-of-order arrivals, keyed by cell index.
-    /// Crate-internal, for the wire codecs.
+    /// Crate-internal, for the binary codec.
     pub(crate) fn pending_outcomes(&self) -> &BTreeMap<usize, CellOutcome> {
         &self.pending
     }
@@ -387,8 +360,8 @@ impl MergeSink {
     /// invariant the field encoders cannot express: the range is ordered,
     /// the fold cursor lies inside it, the aggregate's cell count matches
     /// the folded prefix, and every pending outcome sits in the unfolded
-    /// tail. Both wire decoders (text and binary) funnel through here, so
-    /// the two formats reject exactly the same inconsistencies.
+    /// tail. Every decoder of a sink, standalone or embedded in a
+    /// checkpoint, funnels through here.
     ///
     /// # Errors
     ///
@@ -402,21 +375,19 @@ impl MergeSink {
         failures: Vec<CellFailure>,
     ) -> Result<MergeSink, SimError> {
         if start > end {
-            return Err(wire::malformed("inverted cell range"));
+            return Err(malformed("inverted cell range"));
         }
         if next < start || next > end {
-            return Err(wire::malformed("fold cursor outside the cell range"));
+            return Err(malformed("fold cursor outside the cell range"));
         }
         if aggregate.cells != next - start {
-            return Err(wire::malformed(
-                "aggregate cell count disagrees with cursor",
-            ));
+            return Err(malformed("aggregate cell count disagrees with cursor"));
         }
         if let Some((&index, _)) = pending
             .iter()
             .find(|(&index, _)| index < next || index >= end)
         {
-            return Err(wire::malformed(format!(
+            return Err(malformed(format!(
                 "pending cell {index} outside the unfolded range"
             )));
         }
@@ -429,125 +400,6 @@ impl MergeSink {
             failures,
         })
     }
-
-    /// Writes the body lines of the wire format (shared with the campaign
-    /// checkpoint, which embeds a sink section).
-    pub(crate) fn encode_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        writeln!(out, "range {} {}", self.start, self.end).expect("string write");
-        writeln!(out, "next {}", self.next).expect("string write");
-        let a = &self.aggregate;
-        writeln!(
-            out,
-            "agg {} {} {} {} {} {} {} {}",
-            a.cells,
-            a.completed_runs,
-            a.failed_cells,
-            a.shutdowns,
-            a.total_intervals,
-            a.escalations,
-            a.sensor_faults,
-            wire::fmt_f64(a.total_energy_j),
-        )
-        .expect("string write");
-        for (name, w) in [
-            ("energy", &a.energy_j),
-            ("power", &a.mean_power_w),
-            ("exec", &a.execution_time_s),
-            ("peak", &a.peak_temp_c),
-            ("meantemp", &a.mean_temp_c),
-        ] {
-            writeln!(
-                out,
-                "welford {name} {} {} {} {} {}",
-                w.count(),
-                wire::fmt_f64(w.mean()),
-                wire::fmt_f64(w.m2()),
-                wire::fmt_f64(w.min()),
-                wire::fmt_f64(w.max()),
-            )
-            .expect("string write");
-        }
-        writeln!(out, "failures {}", self.failures.len()).expect("string write");
-        for failure in &self.failures {
-            writeln!(
-                out,
-                "failure {} {}",
-                failure.index,
-                wire::fmt_str(&failure.error)
-            )
-            .expect("string write");
-        }
-        writeln!(out, "pending {}", self.pending.len()).expect("string write");
-        for (index, outcome) in &self.pending {
-            encode_outcome(out, *index, outcome);
-        }
-    }
-
-    /// Parses the body lines written by [`MergeSink::encode_into`].
-    pub(crate) fn decode_from<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<MergeSink, SimError> {
-        let mut range = expect_fields(lines, "range", 2)?;
-        let (start, end) = (
-            wire::parse_usize(&range.remove(0))?,
-            wire::parse_usize(&range.remove(0))?,
-        );
-        let next = wire::parse_usize(&expect_fields(lines, "next", 1)?[0])?;
-        let agg = expect_fields(lines, "agg", 8)?;
-        let mut aggregate = CampaignAggregate {
-            cells: wire::parse_usize(&agg[0])?,
-            completed_runs: wire::parse_usize(&agg[1])?,
-            failed_cells: wire::parse_usize(&agg[2])?,
-            shutdowns: wire::parse_usize(&agg[3])?,
-            total_intervals: wire::parse_usize(&agg[4])?,
-            escalations: wire::parse_usize(&agg[5])?,
-            sensor_faults: wire::parse_usize(&agg[6])?,
-            total_energy_j: wire::parse_f64(&agg[7])?,
-            ..CampaignAggregate::default()
-        };
-        for name in ["energy", "power", "exec", "peak", "meantemp"] {
-            let fields = expect_fields(lines, "welford", 6)?;
-            if fields[0] != name {
-                return Err(wire::malformed(format!(
-                    "expected welford {name}, got {:?}",
-                    fields[0]
-                )));
-            }
-            let w = Welford::from_parts(
-                wire::parse_usize(&fields[1])?,
-                wire::parse_f64(&fields[2])?,
-                wire::parse_f64(&fields[3])?,
-                wire::parse_f64(&fields[4])?,
-                wire::parse_f64(&fields[5])?,
-            );
-            match name {
-                "energy" => aggregate.energy_j = w,
-                "power" => aggregate.mean_power_w = w,
-                "exec" => aggregate.execution_time_s = w,
-                "peak" => aggregate.peak_temp_c = w,
-                _ => aggregate.mean_temp_c = w,
-            }
-        }
-        let failure_count = wire::parse_usize(&expect_fields(lines, "failures", 1)?[0])?;
-        let mut failures = Vec::with_capacity(failure_count.min(RETAINED_FAILURES));
-        for _ in 0..failure_count {
-            let fields = expect_fields(lines, "failure", 2)?;
-            failures.push(CellFailure {
-                index: wire::parse_usize(&fields[0])?,
-                error: wire::parse_str(&fields[1])?,
-            });
-        }
-        let pending_count = wire::parse_usize(&expect_fields(lines, "pending", 1)?[0])?;
-        let mut pending = BTreeMap::new();
-        for _ in 0..pending_count {
-            let (index, outcome) = decode_outcome(lines)?;
-            if pending.insert(index, outcome).is_some() {
-                return Err(wire::malformed(format!("pending cell {index} duplicated")));
-            }
-        }
-        MergeSink::from_parts(start, end, next, aggregate, pending, failures)
-    }
 }
 
 impl ResultSink for MergeSink {
@@ -555,94 +407,6 @@ impl ResultSink for MergeSink {
         let outcome = CellOutcome::from_run(index, outcome);
         self.offer(index, outcome);
     }
-}
-
-/// Writes one `cell` line of the wire format.
-fn encode_outcome(out: &mut String, index: usize, outcome: &CellOutcome) {
-    use std::fmt::Write;
-    match outcome {
-        CellOutcome::Completed(s) => writeln!(
-            out,
-            "cell {index} ok {} {} {} {} {} {} {} {} {} {} {}",
-            u8::from(s.completed),
-            wire::fmt_f64(s.execution_time_s),
-            s.intervals,
-            wire::fmt_f64(s.energy_j),
-            wire::fmt_f64(s.mean_platform_power_w),
-            wire::fmt_f64(s.mean_temp_c),
-            wire::fmt_f64(s.peak_temp_c),
-            wire::fmt_f64(s.intervention_rate),
-            s.escalations,
-            s.sensor_faults,
-            u8::from(s.shut_down),
-        )
-        .expect("string write"),
-        CellOutcome::Failed(failure) => {
-            writeln!(out, "cell {index} err {}", wire::fmt_str(&failure.error))
-                .expect("string write")
-        }
-    }
-}
-
-/// Parses one `cell` line of the wire format.
-fn decode_outcome<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-) -> Result<(usize, CellOutcome), SimError> {
-    let fields = expect_fields(lines, "cell", usize::MAX)?;
-    if fields.len() < 2 {
-        return Err(wire::malformed("truncated cell line"));
-    }
-    let index = wire::parse_usize(&fields[0])?;
-    let outcome = match (fields[1].as_str(), fields.len()) {
-        ("ok", 13) => CellOutcome::Completed(CellStats {
-            completed: fields[2] == "1",
-            execution_time_s: wire::parse_f64(&fields[3])?,
-            intervals: wire::parse_usize(&fields[4])?,
-            energy_j: wire::parse_f64(&fields[5])?,
-            mean_platform_power_w: wire::parse_f64(&fields[6])?,
-            mean_temp_c: wire::parse_f64(&fields[7])?,
-            peak_temp_c: wire::parse_f64(&fields[8])?,
-            intervention_rate: wire::parse_f64(&fields[9])?,
-            escalations: wire::parse_usize(&fields[10])?,
-            sensor_faults: wire::parse_usize(&fields[11])?,
-            shut_down: fields[12] == "1",
-        }),
-        ("err", 3) => CellOutcome::Failed(CellFailure {
-            index,
-            error: wire::parse_str(&fields[2])?,
-        }),
-        _ => return Err(wire::malformed("unrecognised cell line shape")),
-    };
-    Ok((index, outcome))
-}
-
-/// Pulls the next line, checks its tag, and returns its whitespace-split
-/// fields (exactly `arity` of them unless `arity` is `usize::MAX`).
-fn expect_fields<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-    arity: usize,
-) -> Result<Vec<String>, SimError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| wire::malformed(format!("missing {tag} line")))?;
-    let mut fields = line.split_whitespace().map(str::to_owned);
-    match fields.next() {
-        Some(found) if found == tag => {}
-        found => {
-            return Err(wire::malformed(format!(
-                "expected {tag} line, found {found:?}"
-            )))
-        }
-    }
-    let fields: Vec<String> = fields.collect();
-    if arity != usize::MAX && fields.len() != arity {
-        return Err(wire::malformed(format!(
-            "{tag} line carries {} fields, expected {arity}",
-            fields.len()
-        )));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -794,17 +558,35 @@ mod tests {
             };
             sink.offer(k, outcome);
         }
-        let decoded = MergeSink::decode(&sink.encode()).expect("round trip");
+        let blob = crate::distributed::encode_sink(&sink);
+        let decoded = crate::distributed::decode_sink(&blob).expect("round trip");
         assert_eq!(decoded, sink);
-        // And for a complete sink.
-        let mut sink = MergeSink::new(0..4);
-        for k in 0..4 {
-            sink.offer(k, CellOutcome::Completed(stats(k as f64)));
-        }
-        assert_eq!(MergeSink::decode(&sink.encode()).expect("round trip"), sink);
-        // Malformed inputs are rejected, not mis-parsed.
-        assert!(MergeSink::decode("nonsense").is_err());
-        assert!(MergeSink::decode("merge-sink v1\nrange 5 2\n").is_err());
+
+        // Every decoder rebuilds the sink through `from_parts`, which
+        // re-checks what the field encoders cannot express.
+        let parts = |start, end, next, cells, pending: &[usize]| {
+            let aggregate = CampaignAggregate {
+                cells,
+                ..CampaignAggregate::default()
+            };
+            let pending = pending
+                .iter()
+                .map(|&k| (k, CellOutcome::Completed(stats(k as f64))))
+                .collect();
+            MergeSink::from_parts(start, end, next, aggregate, pending, Vec::new())
+        };
+        assert!(parts(3, 40, 6, 3, &[9, 39]).is_ok());
+        assert!(parts(5, 2, 5, 0, &[]).is_err(), "inverted range");
+        assert!(parts(3, 40, 41, 38, &[]).is_err(), "cursor past the end");
+        assert!(
+            parts(3, 40, 6, 2, &[]).is_err(),
+            "aggregate count vs cursor"
+        );
+        assert!(
+            parts(3, 40, 6, 3, &[5]).is_err(),
+            "pending below the cursor"
+        );
+        assert!(parts(3, 40, 6, 3, &[40]).is_err(), "pending past the end");
     }
 
     #[test]

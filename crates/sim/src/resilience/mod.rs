@@ -1,5 +1,5 @@
 //! The robustness layer for long campaigns: checkpoint/resume, deterministic
-//! shard merge, and cell-level fault containment.
+//! merge, and cell-level fault containment.
 //!
 //! A production-scale campaign (the ROADMAP's million-cell fleet sweeps)
 //! runs for hours; without this module a single panicking cell, a runaway
@@ -21,43 +21,39 @@
 //!   [`crate::SimError::Deadline`].
 //! * **Checkpoint/resume** ([`checkpoint`]): a [`CheckpointSink`] wraps any
 //!   [`crate::ResultSink`] and atomically (temp file + rename) persists a
-//!   [`CampaignCheckpoint`] — completed-cell bitmap plus merged
-//!   summary/Welford partials and incident counts — every N completed
-//!   cells. [`crate::CampaignRunner::resume_from`] skips completed cells;
-//!   because the merge folds per-cell stats in canonical index order, the
-//!   resumed campaign's merged output is bit-identical to an uninterrupted
-//!   run no matter where the kill landed.
-//! * **Sharding + merge** ([`shard`], [`merge`]): a [`ShardSpec`] is a
-//!   [`crate::SweepSpec`] plus a contiguous cell-index range; each shard
-//!   streams into its own [`MergeSink`], and
-//!   [`MergeSink::merge_all`] combines any number of shard sinks —
-//!   via the exactly-commutative [`numeric::stats::Welford::merge`], folded
-//!   in canonical range order — into aggregates independent of shard
-//!   arrival order.
+//!   [`CampaignCheckpoint`] — the grid fingerprint plus the merge fold of
+//!   the completed cells — every N completed cells.
+//!   [`crate::CampaignRunner::resume_from`] skips completed cells; because
+//!   the merge folds per-cell stats in canonical index order, the resumed
+//!   campaign's merged output is bit-identical to an uninterrupted run no
+//!   matter where the kill landed.
+//! * **Merge** ([`merge`]): a [`MergeSink`] folds the cells of one
+//!   contiguous index range in canonical order, however they arrive, and
+//!   [`MergeSink::merge_all`] combines the sinks of disjoint ranges — via
+//!   the exactly-commutative [`numeric::stats::Welford::merge`], folded in
+//!   canonical range order — into aggregates independent of the order the
+//!   sinks are handed over in.
 //!
 //! Determinism is the design invariant throughout: retries re-derive the
 //! identical cell (seeds are a pure function of the campaign seed and cell
-//! index), merges fold in canonical cell order, and the checkpoint wire
-//! format stores floats as exact bit patterns — so "resumed", "sharded" and
-//! "uninterrupted" describe the same numbers.
-
-use serde::{Deserialize, Serialize};
+//! index), merges fold in canonical cell order, and the binary codec
+//! ([`crate::distributed::codec`]) that writes checkpoints stores floats as
+//! exact bit patterns — so "resumed", "split" and "uninterrupted" describe
+//! the same numbers.
 
 use crate::error::SimError;
 
 pub mod checkpoint;
 pub mod merge;
-pub mod shard;
 
-pub use checkpoint::{CampaignCheckpoint, CellBitmap, CheckpointSink};
+pub use checkpoint::{CampaignCheckpoint, CheckpointSink};
 pub use merge::{CampaignAggregate, CellFailure, CellOutcome, CellStats, MergeSink};
-pub use shard::ShardSpec;
 
 /// Containment policy for a sweep or campaign: how many times a transiently
 /// failing cell is retried before quarantine, and the cooperative per-cell
 /// deadline. The default (no retries, no deadline) keeps every existing
 /// sweep bit-identical — panic containment itself is always on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResiliencePolicy {
     /// How many times a cell that failed with a retryable error
     /// ([`SimError::Panicked`] / [`SimError::Deadline`]) is re-admitted
@@ -110,7 +106,7 @@ impl ResiliencePolicy {
 /// cell's control loop panic at a declared interval, optionally "healing"
 /// after a number of retry attempts so bounded retry can be exercised
 /// end-to-end. Entirely inert by default and on every healthy cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
     /// Panic when the control loop stages the decision of this interval.
     pub panic_at_interval: Option<usize>,
@@ -150,70 +146,6 @@ impl ChaosPlan {
                 self.attempt
             );
         }
-    }
-}
-
-/// The checkpoint/shard wire format's primitive encoders: floats travel as
-/// exact 64-bit patterns (hex), strings as hex-encoded UTF-8 — nothing is
-/// rounded, escaped or locale-dependent, so decode(encode(x)) is bit-exact.
-pub(crate) mod wire {
-    use crate::error::SimError;
-
-    /// A malformed-input decode error.
-    pub(crate) fn malformed(what: impl std::fmt::Display) -> SimError {
-        SimError::Io(format!("malformed checkpoint data: {what}"))
-    }
-
-    /// Encodes an `f64` as its exact bit pattern (16 hex digits).
-    pub(crate) fn fmt_f64(x: f64) -> String {
-        format!("{:016x}", x.to_bits())
-    }
-
-    /// Decodes an [`fmt_f64`]-encoded float, bit-exactly.
-    pub(crate) fn parse_f64(s: &str) -> Result<f64, SimError> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| malformed(format!("bad f64 bits {s:?}")))
-    }
-
-    /// Decodes a decimal `usize`.
-    pub(crate) fn parse_usize(s: &str) -> Result<usize, SimError> {
-        s.parse().map_err(|_| malformed(format!("bad count {s:?}")))
-    }
-
-    /// Decodes a hex `u64` (fingerprints, bitmap words).
-    pub(crate) fn parse_u64_hex(s: &str) -> Result<u64, SimError> {
-        u64::from_str_radix(s, 16).map_err(|_| malformed(format!("bad u64 bits {s:?}")))
-    }
-
-    /// Encodes a string as hex UTF-8 bytes (newline- and delimiter-safe).
-    pub(crate) fn fmt_str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() * 2);
-        for byte in s.bytes() {
-            out.push_str(&format!("{byte:02x}"));
-        }
-        if out.is_empty() {
-            // A bare marker so empty strings still occupy a field.
-            out.push('-');
-        }
-        out
-    }
-
-    /// Decodes an [`fmt_str`]-encoded string.
-    pub(crate) fn parse_str(s: &str) -> Result<String, SimError> {
-        if s == "-" {
-            return Ok(String::new());
-        }
-        if !s.len().is_multiple_of(2) {
-            return Err(malformed(format!("odd-length string field {s:?}")));
-        }
-        let mut bytes = Vec::with_capacity(s.len() / 2);
-        for k in (0..s.len()).step_by(2) {
-            let byte = u8::from_str_radix(&s[k..k + 2], 16)
-                .map_err(|_| malformed(format!("bad string byte {:?}", &s[k..k + 2])))?;
-            bytes.push(byte);
-        }
-        String::from_utf8(bytes).map_err(|_| malformed("string field is not UTF-8"))
     }
 }
 
@@ -265,29 +197,5 @@ mod tests {
     #[should_panic(expected = "injected panic at interval 3")]
     fn chaos_plans_panic_inside_the_window() {
         ChaosPlan::panic_at(3).maybe_panic(3);
-    }
-
-    #[test]
-    fn wire_round_trips_are_bit_exact() {
-        for x in [
-            0.0,
-            -0.0,
-            1.5,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-            std::f64::consts::PI,
-        ] {
-            let back = wire::parse_f64(&wire::fmt_f64(x)).expect("round trip");
-            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
-        }
-        let nan = wire::parse_f64(&wire::fmt_f64(f64::NAN)).expect("round trip");
-        assert_eq!(nan.to_bits(), f64::NAN.to_bits());
-        for s in ["", "plain", "with spaces\nand newlines", "ünïcode"] {
-            assert_eq!(wire::parse_str(&wire::fmt_str(s)).expect("round trip"), s);
-        }
-        assert!(wire::parse_f64("xyz").is_err());
-        assert!(wire::parse_str("abc").is_err(), "odd length rejected");
-        assert!(wire::parse_usize("-3").is_err());
     }
 }

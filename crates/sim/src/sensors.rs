@@ -9,10 +9,9 @@
 use power_model::DomainPower;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One set of sensor readings for a control interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReadings {
     /// Measured big-core temperatures, °C (quantised to the sensor resolution).
     pub core_temps_c: [f64; 4],

@@ -10,8 +10,8 @@
 //!   lease points force re-leases and duplicate completions, and the
 //!   cell-level dedup still folds every cell exactly once (proptest over
 //!   injection points).
-//! * The binary codec round-trips arbitrary [`ShardSpec`] and [`MergeSink`]
-//!   states bit-exactly, including non-finite float bit patterns.
+//! * The binary codec round-trips arbitrary [`MergeSink`] states
+//!   bit-exactly, including non-finite float bit patterns.
 //! * Neither per-worker sink batching (the sweep-stream contention fix) nor
 //!   the thread/lane layout changes delivered bits: every layout folds to
 //!   the sequential run's aggregate, bit for bit.
@@ -20,11 +20,11 @@ use std::thread;
 use std::time::Duration;
 
 use platform_sim::distributed::{
-    serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
+    encode_sink, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
 };
 use platform_sim::{
     Calibration, CalibrationCampaign, CellOutcome, CellStats, Coordinator, DistributedReport,
-    ExperimentKind, MergeSink, ShardSpec, SweepSpec,
+    ExperimentKind, MergeSink, SweepSpec,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -123,7 +123,7 @@ fn distributed_run_matches_in_process_bit_for_bit() {
     let reference = reference_fold();
     assert!(report.fold().is_complete());
     assert_eq!(report.fold(), reference);
-    assert_eq!(report.fold().encode(), reference.encode());
+    assert_eq!(encode_sink(report.fold()), encode_sink(reference));
     let stats = report.stats();
     assert_eq!(stats.workers, 2);
     assert_eq!(stats.lost_workers, 0);
@@ -134,7 +134,7 @@ fn distributed_run_matches_in_process_bit_for_bit() {
 #[test]
 fn single_worker_pool_matches_too() {
     let report = run_distributed(vec![WorkerOptions::default()], 32, Duration::from_secs(20));
-    assert_eq!(report.fold().encode(), reference_fold().encode());
+    assert_eq!(encode_sink(report.fold()), encode_sink(reference_fold()));
     assert_eq!(report.stats().leases, 1);
 }
 
@@ -176,35 +176,7 @@ proptest! {
         );
         prop_assert!(report.fold().is_complete());
         prop_assert_eq!(report.fold(), reference_fold());
-        prop_assert_eq!(report.fold().encode(), reference_fold().encode());
-    }
-}
-
-proptest! {
-    #[test]
-    /// The shard codec round-trips arbitrary grids and ranges bit-exactly.
-    fn shard_codec_round_trips(
-        seed in 0i64..i64::MAX,
-        ambients in prop::collection::vec(-40.0f64..120.0, 1..4),
-        replicates in 1usize..4,
-        cut in 0usize..1000,
-    ) {
-        let spec = SweepSpec::new(
-            vec![ExperimentKind::Dtpm, ExperimentKind::WithoutFan],
-            vec![BenchmarkId::Fft, BenchmarkId::Gsm],
-        )
-        .with_ambients_c(ambients)
-        .with_replicates(replicates)
-        .with_campaign_seed(seed as u64);
-        let cells = spec.cells();
-        let start = cut % (cells + 1);
-        let end = start + (seed as usize % (cells - start + 1));
-        let shard = ShardSpec { spec, start, end };
-        let blob = platform_sim::distributed::encode_shard(&shard);
-        let decoded = platform_sim::distributed::decode_shard(&blob).expect("decode");
-        prop_assert_eq!(&decoded, &shard);
-        // Re-encoding the decoded value reproduces the exact blob.
-        prop_assert_eq!(platform_sim::distributed::encode_shard(&decoded), blob);
+        prop_assert_eq!(encode_sink(report.fold()), encode_sink(reference_fold()));
     }
 }
 
@@ -281,7 +253,7 @@ fn sink_batching_does_not_change_delivered_bits() {
     };
     // Scalar engine (one lane): a multi-threaded, batched run delivers
     // exactly the bits of the sequential one.
-    assert_eq!(run(1, 1).encode(), run(4, 1).encode());
+    assert_eq!(encode_sink(&run(1, 1)), encode_sink(&run(4, 1)));
     // Panel engine: a repeat of the same layout, and other thread and lane
     // counts, fold to the same aggregate bit for bit.
     let reference = run(2, 8);
@@ -292,7 +264,7 @@ fn sink_batching_does_not_change_delivered_bits() {
             aggregate_bits(reference.aggregate()),
             "threads {threads}, lanes {lanes}"
         );
-        assert_eq!(sink.encode(), reference.encode());
+        assert_eq!(encode_sink(&sink), encode_sink(&reference));
     }
 }
 

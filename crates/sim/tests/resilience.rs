@@ -1,14 +1,18 @@
-//! End-to-end campaign resilience: checkpoint/resume bit-identity, shard
-//! split/merge arrival-order independence, and cell-level fault containment.
+//! End-to-end campaign resilience: checkpoint/resume bit-identity, damaged
+//! checkpoint rejection, shard merge arrival-order independence, and
+//! cell-level fault containment.
 //!
 //! The contracts under test:
 //!
-//! * A campaign killed after any number of completed cells and resumed from
-//!   its on-disk checkpoint folds to the **bit-identical** aggregate of the
+//! * A campaign killed after any subset of its cells completed, in any
+//!   order, and resumed from its on-disk checkpoint runs exactly the
+//!   missing cells and folds to the **bit-identical** aggregate of the
 //!   uninterrupted run (scalar lanes, where the engine is exactly
 //!   deterministic).
-//! * A grid split into shards and merged in any shard arrival order yields
-//!   one canonical aggregate.
+//! * A damaged checkpoint file, or one in the retired text format, fails to
+//!   load with a structured `Corrupted` error.
+//! * A grid split into contiguous shards and merged in any shard arrival
+//!   order yields one canonical aggregate.
 //! * A cell that panics or blows its deadline is quarantined as a structured
 //!   failure; sibling lanes of the same panel report summaries within the
 //!   batched-engine equivalence bar (≤ 1e-9) of solo runs.
@@ -18,11 +22,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use platform_sim::distributed::encode_sink;
 use platform_sim::{
     Calibration, CalibrationCampaign, CampaignCheckpoint, ChaosPlan, CheckpointSink, CollectSink,
     Experiment, ExperimentConfig, ExperimentKind, FaultKind, FaultPlan, FaultWindow, MergeSink,
-    ResiliencePolicy, ResultSink, RunReport, RunSummary, ScenarioSweep, SensorChannel, ShardSpec,
-    SimError, SweepSpec, TracePolicy,
+    ResiliencePolicy, ResultSink, RunReport, RunSummary, ScenarioSweep, SensorChannel, SimError,
+    SweepSpec, TracePolicy,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -79,13 +84,6 @@ impl ResultSink for RecordingSink {
     }
 }
 
-/// Swallows everything (the resumed runs fold through their checkpoint).
-struct NullSink;
-
-impl ResultSink for NullSink {
-    fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {}
-}
-
 /// Panics on the first delivery, accepts everything afterwards — the sink
 /// half of the poisoning regression test.
 #[derive(Default)]
@@ -122,16 +120,51 @@ fn recorded_small_campaign() -> &'static [(usize, Result<RunReport, SimError>)] 
     })
 }
 
+/// A checkpoint file written by the retired text codec (five cells, cell 0
+/// folded and cell 3 pending, with its crc32 footer): the on-disk format
+/// before checkpoints became binary blobs.
+const RETIRED_TEXT_CHECKPOINT: &str = "dtpm-campaign-checkpoint v1
+fingerprint 000000000000abcd
+cells 5
+bitmap 0000000000000009
+range 0 5
+next 1
+agg 1 0 1 0 0 0 0 0000000000000000
+welford energy 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000
+welford power 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000
+welford exec 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000
+welford peak 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000
+welford meantemp 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000
+failures 1
+failure 0 63656c6c2070616e69636b65642028636f6e7461696e6564293a20626f6f6d2030
+pending 1
+cell 3 err 63656c6c2070616e69636b65642028636f6e7461696e6564293a20626f6f6d2033
+crc32 170f135a
+";
+
+/// The cells of `mask` (bit k set: cell k recorded), in an order scrambled
+/// by `seed`.
+fn scrambled_subset(mask: usize, seed: u64, cells: usize) -> Vec<usize> {
+    let mut subset: Vec<usize> = (0..cells).filter(|k| mask >> k & 1 == 1).collect();
+    subset.sort_by_key(|&k| platform_sim::splitmix64(seed ^ k as u64));
+    subset
+}
+
 proptest! {
-    /// Kill-and-resume bit-identity: replay the first `k` deliveries of the
-    /// uninterrupted run into a checkpoint, round-trip it through disk,
-    /// resume the campaign from it, and compare the final fold against the
-    /// uninterrupted fold **by wire encoding** — bit-exact, not just close.
+    /// Kill-and-resume bit-identity: record an arbitrary subset of the
+    /// uninterrupted run's cells, in scrambled order (so the saved fold
+    /// carries pending out-of-order cells), round-trip the checkpoint
+    /// through disk, resume the campaign from it, and compare the final
+    /// fold against the uninterrupted fold **by encoded bytes** —
+    /// bit-exact, not just close. The resume must run exactly the missing
+    /// cells, each once.
     #[test]
-    fn killed_campaign_resumes_to_the_bit_identical_aggregate(k in 0usize..7) {
+    fn killed_campaign_resumes_to_the_bit_identical_aggregate(
+        mask in 0usize..64,
+        seed in 0i64..i64::MAX,
+    ) {
         let spec = small_spec();
         let events = recorded_small_campaign();
-        prop_assert!(k <= events.len());
 
         // The uninterrupted reference fold.
         let mut reference = MergeSink::new(0..spec.cells());
@@ -140,32 +173,110 @@ proptest! {
         }
         prop_assert!(reference.is_complete());
 
-        // Kill after k completed cells: only the first k deliveries made it
-        // into the checkpoint before the process died.
+        // Kill after an arbitrary subset of cells made it into the
+        // checkpoint, delivered in scrambled order.
+        let recorded = scrambled_subset(mask, seed as u64, spec.cells());
+        let outcome_of = |index: usize| {
+            let (_, outcome) = events.iter().find(|(k, _)| *k == index).expect("delivered");
+            outcome.clone()
+        };
         let mut checkpoint = CampaignCheckpoint::new(spec.fingerprint(), spec.cells());
-        for (index, outcome) in &events[..k] {
-            checkpoint.record(*index, outcome.clone());
+        for &index in &recorded {
+            checkpoint.record(index, outcome_of(index));
         }
         let path = scratch_path("resume");
         checkpoint.write_atomic(&path).expect("checkpoint write");
 
         // Resume from what is on disk.
         let loaded = CampaignCheckpoint::load(&path).expect("checkpoint load");
-        prop_assert_eq!(loaded.completed(), k);
-        let mut sink = CheckpointSink::resume(loaded.clone(), &path, 2, NullSink);
+        prop_assert_eq!(&loaded, &checkpoint);
+        prop_assert_eq!(loaded.completed(), recorded.len());
+        let missing: Vec<usize> = (0..spec.cells()).filter(|k| !recorded.contains(k)).collect();
+        prop_assert_eq!(loaded.remaining(), missing.clone());
+        let mut sink = CheckpointSink::resume(loaded.clone(), &path, 2, RecordingSink::default());
         spec.runner()
             .with_threads(1)
             .with_lanes(1)
             .with_recording(TracePolicy::SummaryOnly)
             .resume_from(&loaded, calibration(), &mut sink)
             .expect("resume must accept its own checkpoint");
-        let (resumed, _, write) = sink.finish();
+        let (resumed, rerun, write) = sink.finish();
         write.expect("final checkpoint write");
 
+        let mut rerun: Vec<usize> = rerun.events.iter().map(|(index, _)| *index).collect();
+        rerun.sort_unstable();
+        prop_assert_eq!(rerun, missing, "exactly the missing cells, each once");
         prop_assert!(resumed.is_complete());
-        // Wire-encoding equality is bit-exactness: every float is rendered
-        // by bit pattern.
-        prop_assert_eq!(resumed.fold().encode(), reference.encode());
+        prop_assert_eq!(encode_sink(resumed.fold()), encode_sink(&reference));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Whatever happens to a checkpoint file on disk — flipped bits, a torn
+    /// tail, bytes spliced in from elsewhere, or a file in the retired text
+    /// format — loading it is a structured `Corrupted` error, never a panic
+    /// and never a silently different campaign.
+    #[test]
+    fn damaged_checkpoint_files_fail_to_load_as_corrupted(
+        mask in 0usize..64,
+        mode in 0usize..3,
+        positions in prop::collection::vec(0usize..1_000_000, 1..5),
+        noise in prop::collection::vec(0usize..256, 1..9),
+        text_cut in 0usize..1_000,
+    ) {
+        let spec = small_spec();
+        let events = recorded_small_campaign();
+        let mut checkpoint = CampaignCheckpoint::new(spec.fingerprint(), spec.cells());
+        for (index, outcome) in events.iter().filter(|(k, _)| mask >> k & 1 == 1) {
+            checkpoint.record(*index, outcome.clone());
+        }
+        let path = scratch_path("damaged");
+        checkpoint.write_atomic(&path).expect("checkpoint write");
+        let good = std::fs::read(&path).expect("read back");
+
+        let mut bad = good.clone();
+        match mode {
+            // Bit flips at arbitrary positions.
+            0 => {
+                for (&at, &bit) in positions.iter().zip(noise.iter().cycle()) {
+                    bad[at % good.len()] ^= 1 << (bit % 8);
+                }
+            }
+            // A torn write: the file ends early.
+            1 => bad.truncate(positions[0] % good.len()),
+            // A splice: a run of the file's own bytes, or of noise, lands
+            // somewhere else in it.
+            _ => {
+                let from = positions[0] % good.len();
+                let run: Vec<u8> = if positions.len() % 2 == 0 {
+                    good[from..(from + noise.len()).min(good.len())].to_vec()
+                } else {
+                    noise.iter().map(|&b| b as u8).collect()
+                };
+                let at = positions[positions.len() - 1] % (good.len() + 1);
+                bad.splice(at..at, run);
+            }
+        }
+        if bad == good {
+            // The flips cancelled out: damage the file for real.
+            bad[0] ^= 1;
+        }
+        std::fs::write(&path, &bad).expect("write damaged file");
+        let loaded = CampaignCheckpoint::load(&path);
+        prop_assert!(
+            matches!(loaded, Err(SimError::Corrupted(_))),
+            "mode {} loaded as {:?}",
+            mode,
+            loaded
+        );
+
+        // A checkpoint in the retired text format, whole or torn anywhere.
+        let text = RETIRED_TEXT_CHECKPOINT.as_bytes();
+        let cut = if text_cut % 2 == 0 { text.len() } else { text_cut % text.len() };
+        std::fs::write(&path, &text[..cut]).expect("write text file");
+        prop_assert!(matches!(
+            CampaignCheckpoint::load(&path),
+            Err(SimError::Corrupted(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 }
@@ -173,17 +284,16 @@ proptest! {
 #[test]
 fn shard_merge_is_independent_of_shard_arrival_order() {
     let spec = small_spec();
-    let shards = ShardSpec::split(&spec, 3);
-    assert_eq!(shards.len(), 3);
-    let sinks: Vec<MergeSink> = shards
-        .iter()
-        .map(|shard| {
-            let mut sink = shard.merge_sink();
+    let sinks: Vec<MergeSink> = [0..2, 2..4, 4..6]
+        .into_iter()
+        .map(|range| {
+            let mut sink = MergeSink::new(range.clone());
+            let indices: Vec<usize> = range.collect();
             spec.runner()
                 .with_threads(1)
                 .with_lanes(1)
                 .with_recording(TracePolicy::SummaryOnly)
-                .run_indices_into(&shard.indices(), calibration(), &mut sink);
+                .run_indices_into(&indices, calibration(), &mut sink);
             sink
         })
         .collect();
@@ -233,7 +343,7 @@ fn resume_rejects_a_checkpoint_from_a_different_grid() {
     let mut other = small_spec();
     other.campaign_seed ^= 1;
     let foreign = CampaignCheckpoint::new(other.fingerprint(), other.cells());
-    let mut sink = NullSink;
+    let mut sink = RecordingSink::default();
     let err = spec
         .runner()
         .resume_from(&foreign, calibration(), &mut sink)

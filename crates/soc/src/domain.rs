@@ -1,13 +1,11 @@
 //! Power domains measured by the on-board sensors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::ClusterKind;
 
 /// The four power domains whose consumption the Odroid-XU+E measures with
 /// dedicated current sensors, and which form the input vector
 /// `P = [P_big, P_little, P_gpu, P_mem]ᵀ` of the thermal model (Eq. 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerDomain {
     /// The Cortex-A15 (big) CPU cluster.
     BigCpu,

@@ -7,10 +7,8 @@
 //! algorithm must regulate temperature with the fan removed while matching or
 //! beating the fan's thermal stability.
 
-use serde::{Deserialize, Serialize};
-
 /// Discrete fan speed levels used by the default configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FanLevel {
     /// Fan switched off.
     #[default]
@@ -67,7 +65,7 @@ impl std::fmt::Display for FanLevel {
 
 /// Physical model of the fan: electrical power drawn and the additional
 /// convective conductance it provides from the SoC case to ambient.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanModel {
     /// Electrical power drawn at full speed, in watts.
     pub max_power_w: f64,
@@ -112,7 +110,7 @@ impl Default for FanModel {
 }
 
 /// The temperature thresholds of the board's default fan-control policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanPolicy {
     /// Temperature (°C) above which the fan is switched on.
     pub on_threshold_c: f64,

@@ -1,7 +1,5 @@
 //! The complete platform specification and its run-time actuator state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::{ClusterKind, ClusterSpec};
 use crate::fan::{FanModel, FanPolicy};
 use crate::opp::{Frequency, OppTable, Voltage};
@@ -18,7 +16,7 @@ use crate::SocError;
 /// assert_eq!(spec.big_cluster().core_count, 4);
 /// assert_eq!(spec.gpu_opps().len(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocSpec {
     big: ClusterSpec,
     little: ClusterSpec,
@@ -130,7 +128,7 @@ impl Default for SocSpec {
 /// state.set_cluster_frequency(ClusterKind::Big, Frequency::from_mhz(1200));
 /// assert_eq!(state.active_frequency().mhz(), 1200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformState {
     /// Which CPU cluster is currently powered (cluster-exclusive switching).
     pub active_cluster: ClusterKind,

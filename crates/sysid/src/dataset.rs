@@ -1,7 +1,5 @@
 //! Logged identification data: synchronous temperature and power time series.
 
-use serde::{Deserialize, Serialize};
-
 use numeric::Vector;
 
 use crate::SysIdError;
@@ -12,7 +10,7 @@ use crate::SysIdError;
 /// Temperatures are stored as measured (absolute °C); the identification and
 /// validation routines work on temperatures *relative to the ambient*, which
 /// the dataset computes via [`IdentificationDataset::relative_temps`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentificationDataset {
     state_count: usize,
     input_count: usize,

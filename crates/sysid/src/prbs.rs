@@ -6,12 +6,10 @@
 //! Figure 4.8). The sequence here is generated with a maximal-length linear
 //! feedback shift register, so it is reproducible from a seed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SysIdError;
 
 /// Configuration of a PRBS excitation signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrbsConfig {
     /// LFSR register length in bits (4..=16). A register of `n` bits yields a
     /// sequence that repeats after `2^n − 1` bits.
@@ -43,7 +41,7 @@ impl Default for PrbsConfig {
 }
 
 /// A generated PRBS signal, one value per control interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrbsSignal {
     values: Vec<f64>,
     config: PrbsConfig,

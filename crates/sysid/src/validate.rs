@@ -11,15 +11,13 @@
 //!   a 1 s horizon (< 3 %) and its growth with the horizon (Figure 4.10,
 //!   Figure 6.2).
 
-use serde::{Deserialize, Serialize};
-
 use numeric::stats;
 use thermal_model::DiscreteThermalModel;
 
 use crate::{IdentificationDataset, SysIdError};
 
 /// Free-run validation metrics (per the hottest-tracked hotspot and averaged).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// Root-mean-square error per hotspot, in °C.
     pub rmse_per_state_c: Vec<f64>,
@@ -44,7 +42,7 @@ impl ValidationReport {
 }
 
 /// n-step prediction error metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionErrorReport {
     /// Horizon in control intervals.
     pub horizon_steps: usize,

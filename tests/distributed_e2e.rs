@@ -11,7 +11,7 @@ use std::net::TcpListener;
 use std::process::Command;
 use std::time::Duration;
 
-use platform_sim::distributed::{ChildTransport, TcpTransport, Transport};
+use platform_sim::distributed::{encode_sink, ChildTransport, TcpTransport, Transport};
 use platform_sim::{CalibrationCampaign, Coordinator, ExperimentKind, MergeSink, SweepSpec};
 use workload::BenchmarkId;
 
@@ -79,7 +79,7 @@ fn two_subprocess_workers_over_stdio_match_in_process_bits() {
         .expect("handshake with subprocess workers must succeed")
         .run()
         .expect("campaign must complete");
-    assert_eq!(report.fold().encode(), reference_fold().encode());
+    assert_eq!(encode_sink(report.fold()), encode_sink(reference_fold()));
     let stats = report.stats();
     assert_eq!(stats.workers, 2);
     assert_eq!(stats.lost_workers, 0);
@@ -98,7 +98,7 @@ fn dying_subprocess_worker_is_recovered_bit_identically() {
         .expect("handshake must succeed")
         .run()
         .expect("campaign must survive the worker death");
-    assert_eq!(report.fold().encode(), reference_fold().encode());
+    assert_eq!(encode_sink(report.fold()), encode_sink(reference_fold()));
     assert_eq!(report.stats().lost_workers, 1);
 }
 
@@ -127,7 +127,7 @@ fn tcp_workers_match_in_process_bits() {
         .expect("handshake over TCP must succeed")
         .run()
         .expect("campaign must complete");
-    assert_eq!(report.fold().encode(), reference_fold().encode());
+    assert_eq!(encode_sink(report.fold()), encode_sink(reference_fold()));
     for child in &mut children {
         let status = child.wait().expect("worker must be reapable");
         assert!(status.success(), "worker must exit cleanly: {status}");
