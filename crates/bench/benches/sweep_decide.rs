@@ -23,12 +23,13 @@
 //! The acceptance bar is ≥ 1.5× decisions/s for the batched arm, asserted as
 //! a floor in the full (non `--test`) run; measured numbers land in
 //! `BENCH_sweep_decide.json` together with an end-to-end control-heavy
-//! `run_lockstep` sweep for context.
+//! one-thread, one-tile [`ScenarioSweep`] for context.
 
 use std::time::{Duration, Instant};
 
+use bench::best_of;
 use dtpm::{BatchPredictor, DtpmAction, DtpmConfig, DtpmInputs, DtpmPolicy};
-use platform_sim::{run_lockstep, CalibrationCampaign, ExperimentConfig, ExperimentKind};
+use platform_sim::{CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep};
 use power_model::{DomainPower, PowerModel};
 use soc_model::{Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use workload::BenchmarkId;
@@ -89,21 +90,6 @@ fn lane_temps(lane: usize) -> [f64; 4] {
 
 fn lane_power(lane: usize) -> DomainPower {
     DomainPower::new(3.4 + 0.05 * lane as f64, 0.04, 0.15, 0.4)
-}
-
-/// Best-of-N wall clock for a closure returning a decision count.
-fn best_of<F: FnMut() -> usize>(passes: usize, mut run: F) -> (Duration, usize) {
-    let mut best = Duration::MAX;
-    let mut decisions = 0;
-    for _ in 0..passes {
-        let start = Instant::now();
-        decisions = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    (best, decisions)
 }
 
 fn main() {
@@ -242,8 +228,11 @@ fn main() {
             config
         })
         .collect();
+    let sweep = ScenarioSweep::new(sweep_configs)
+        .with_threads(1)
+        .with_lanes(LANES);
     let sweep_start = Instant::now();
-    let sweep_results = run_lockstep(&sweep_configs, &calibration);
+    let sweep_results = sweep.run(&calibration);
     let sweep_wall = sweep_start.elapsed();
     let sweep_decisions: usize = sweep_results
         .iter()

@@ -4,7 +4,8 @@
 //! The workload is the static scheduler's worst case: tiles of one *long*
 //! scenario packed with short ones (benchmark-major sweep order). Static
 //! tiling — the pre-compaction `ScenarioSweep` behaviour, reproduced here as
-//! sequential [`run_lockstep`] calls over consecutive lane-groups — keeps
+//! one single-thread [`ScenarioSweep`] per consecutive lane-group, each as
+//! wide as its tile, so no lane is ever refilled — keeps
 //! every tile alive until its long pole completes, stepping the finished
 //! short lanes as frozen ballast the whole time. The compacting scheduler
 //! retires finished lanes and admits queued scenarios into them, so the
@@ -17,12 +18,8 @@
 //! the full (non `--test`) run; measured numbers land in
 //! `BENCH_sweep_ragged.json`.
 
-use std::time::{Duration, Instant};
-
-use platform_sim::{
-    run_lockstep, Calibration, CalibrationCampaign, ExperimentConfig, ExperimentKind,
-    ScenarioSweep, SimError, SimulationResult,
-};
+use bench::best_of;
+use platform_sim::{CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep};
 use workload::BenchmarkId;
 
 /// Lanes per engine (batch width) for both schedulers.
@@ -51,36 +48,17 @@ fn ragged_configs(short_s: f64, long_s: f64) -> Vec<ExperimentConfig> {
 }
 
 /// The pre-compaction scheduler: consecutive static tiles of `LANES`
-/// scenarios, each batch alive until its slowest member completes.
-fn run_static(
-    configs: &[ExperimentConfig],
-    calibration: &Calibration,
-) -> Vec<Result<SimulationResult, SimError>> {
-    let mut results = Vec::with_capacity(configs.len());
-    for tile in configs.chunks(LANES) {
-        results.extend(run_lockstep(tile, calibration));
-    }
-    results
-}
-
-/// Best-of-N wall clock (the minimum is the least-interference estimate on a
-/// shared machine; the simulated trajectories are identical in every pass).
-fn best_of<F: FnMut() -> Vec<Result<SimulationResult, SimError>>>(
-    passes: usize,
-    mut run: F,
-) -> (Duration, Vec<Result<SimulationResult, SimError>>) {
-    let mut best = Duration::MAX;
-    let mut results = Vec::new();
-    for _ in 0..passes {
-        let start = Instant::now();
-        let r = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-        results = r;
-    }
-    (best, results)
+/// scenarios, each a one-thread sweep as wide as its tile, so every batch
+/// stays alive until its slowest member completes.
+fn static_tiles(configs: &[ExperimentConfig]) -> Vec<ScenarioSweep> {
+    configs
+        .chunks(LANES)
+        .map(|tile| {
+            ScenarioSweep::new(tile.to_vec())
+                .with_threads(1)
+                .with_lanes(tile.len())
+        })
+        .collect()
 }
 
 fn main() {
@@ -101,7 +79,13 @@ fn main() {
     .expect("calibration campaign must succeed");
     let configs = ragged_configs(short_s, long_s);
 
-    let (static_wall, static_results) = best_of(passes, || run_static(&configs, &calibration));
+    let tiles = static_tiles(&configs);
+    let (static_wall, static_results) = best_of(passes, || {
+        tiles
+            .iter()
+            .flat_map(|tile| tile.run(&calibration))
+            .collect::<Vec<_>>()
+    });
     let sweep = ScenarioSweep::new(configs.clone())
         .with_threads(1)
         .with_lanes(LANES);

@@ -15,6 +15,7 @@ pub mod modeling;
 pub mod summary;
 
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use platform_sim::{Calibration, CalibrationCampaign, SimError};
 
@@ -157,6 +158,22 @@ pub fn run_experiment(id: &str, context: &ExperimentContext) -> Result<String, S
             format!("unknown experiment id '{other}'").into_boxed_str(),
         ))),
     }
+}
+
+/// Runs `run` `passes` times (at least once) and returns the fastest pass's
+/// wall clock with the last pass's output. The minimum is the
+/// least-interference estimate on a shared machine; the benches that use it
+/// compute the same output in every pass.
+pub fn best_of<T>(passes: usize, mut run: impl FnMut() -> T) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut output = None;
+    for _ in 0..passes.max(1) {
+        let start = Instant::now();
+        let pass = run();
+        best = best.min(start.elapsed());
+        output = Some(pass);
+    }
+    (best, output.expect("at least one pass runs"))
 }
 
 /// Formats a numeric time series as sparse `t, value` rows (used by the

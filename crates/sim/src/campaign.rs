@@ -386,21 +386,6 @@ impl CampaignRunner<'_> {
         self
     }
 
-    /// The worker-thread count the runner will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The batch width (cells advanced per instruction stream).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The per-run trace-retention policy.
-    pub fn recording(&self) -> TracePolicy {
-        self.recording
-    }
-
     /// Sets the containment policy: retry budget for panicking/overrunning
     /// cells and the cooperative per-cell interval deadline (default: no
     /// retries, no deadline — panic containment itself is always on).
@@ -408,11 +393,6 @@ impl CampaignRunner<'_> {
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
         self.resilience = resilience;
         self
-    }
-
-    /// The containment policy the runner will apply.
-    pub fn resilience(&self) -> ResiliencePolicy {
-        self.resilience
     }
 
     /// Runs every cell of the grid, pushing each cell's report into `sink`
@@ -426,15 +406,13 @@ impl CampaignRunner<'_> {
         let spec = self.spec;
         // Every cell shares the campaign's control period: one lockstep
         // group over the whole grid.
-        let groups = [(spec.control_period_s, spec.cells())];
-        let provider = |_group: usize, index: usize| -> (usize, ExperimentConfig) {
-            (index, spec.cell(index))
-        };
+        let provider = |index: usize| (index, spec.cell(index));
         let sink = std::sync::Mutex::new(sink);
         sweep_stream(
             self.threads,
             self.lanes,
-            &groups,
+            spec.control_period_s,
+            spec.cells(),
             self.recording,
             &provider,
             calibration,
@@ -456,16 +434,13 @@ impl CampaignRunner<'_> {
         S: ResultSink + Send + ?Sized,
     {
         let spec = self.spec;
-        let groups = [(spec.control_period_s, indices.len())];
-        let provider = |_group: usize, k: usize| -> (usize, ExperimentConfig) {
-            let index = indices[k];
-            (index, spec.cell(index))
-        };
+        let provider = |k: usize| (indices[k], spec.cell(indices[k]));
         let sink = std::sync::Mutex::new(sink);
         sweep_stream(
             self.threads.min(indices.len()).max(1),
             self.lanes,
-            &groups,
+            spec.control_period_s,
+            indices.len(),
             self.recording,
             &provider,
             calibration,

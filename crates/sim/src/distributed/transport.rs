@@ -20,6 +20,10 @@ use std::sync::mpsc;
 /// a corrupt length prefix can allocate.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// The most [`read_frame`] reserves before any payload byte has arrived;
+/// larger frames grow as their bytes are received.
+const INITIAL_FRAME_CAPACITY: usize = 64 << 10;
+
 /// Writes one length-prefixed frame (`u32` little-endian length, then the
 /// payload) and flushes, so a frame is visible to the peer as soon as the
 /// call returns.
@@ -74,8 +78,16 @@ pub fn read_frame(reader: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             "frame length prefix exceeds the size cap",
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    // Grow the buffer only with bytes that actually arrived: the prefix is
+    // untrusted, so it must not size an up-front allocation.
+    let mut payload = Vec::with_capacity(len.min(INITIAL_FRAME_CAPACITY));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame payload torn by end of stream",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -399,6 +411,37 @@ mod tests {
         let mut sink = Vec::new();
         let oversized = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(write_frame(&mut sink, &oversized).is_err());
+    }
+
+    #[test]
+    fn a_torn_frame_reserves_only_what_arrived() {
+        /// A reader that records the largest buffer it was asked to fill.
+        struct Probe<'a> {
+            bytes: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Probe<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        // The prefix claims the whole cap; three payload bytes follow.
+        let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut probe = Probe {
+            bytes: &bytes,
+            largest: 0,
+        };
+        assert_eq!(
+            read_frame(&mut probe).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert!(
+            probe.largest <= INITIAL_FRAME_CAPACITY,
+            "asked to fill {} bytes before they arrived",
+            probe.largest
+        );
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   advanced per instruction stream, one scenario per panel column.
 //!
 //! Because both speak the same contract, the control-loop executor in
-//! [`crate::experiment`] is written once, generically, and the batched
-//! lockstep runner is just the many-lane instantiation of the same code that
-//! runs a single scalar experiment. The seam is also where a device backend
+//! [`crate::experiment`] is written once, generically. There is exactly one
+//! place that picks a backend: the streaming sweep body behind
+//! [`crate::ScenarioSweep`] and [`crate::CampaignRunner`] builds a
+//! [`ScalarEngine`] when configured for one lane and a [`PanelEngine`]
+//! otherwise; [`crate::Experiment`] always holds a one-lane
+//! [`ScalarEngine`]. The seam is also where a device backend
 //! slots in: a GPU engine would keep temperature/power state in device
 //! buffers and consume the precomputed per-step math exposed by
 //! [`thermal_model::BatchStepTransition`] (`r` / `s_power` / `ambient_drive`

@@ -226,10 +226,10 @@ pub struct SimulationResult {
 /// workload, governors, the configured thermal-management policy, and the
 /// running trace/energy bookkeeping.
 ///
-/// Splitting the controller side out of [`Experiment`] is what lets the
-/// lockstep runner ([`run_lockstep`]) drive K control loops against one
-/// [`BatchPlant`]: control decisions stay strictly per-lane while the plant
-/// integration is batched.
+/// Splitting the controller side out of [`Experiment`] is what lets one
+/// executor (`drive_engine`) drive K control loops against a K-lane
+/// [`PanelEngine`] inside a [`ScenarioSweep`]: control decisions stay
+/// strictly per-lane while the plant integration is batched.
 #[derive(Debug)]
 struct ControlLoop {
     config: ExperimentConfig,
@@ -327,8 +327,8 @@ impl ControlLoop {
                 "maximum duration must exceed the control period",
             ));
         }
-        // The fault-plan gate: every run path (scalar experiments, lockstep
-        // batches, sweeps and campaigns) builds its control loops here, so a
+        // The fault-plan gate: every run path (scalar experiments, sweeps
+        // and campaigns) builds its control loops here, so a
         // malformed sensor-fault scenario is rejected with a descriptive
         // error before anything executes instead of producing silent
         // nonsense mid-campaign.
@@ -960,11 +960,10 @@ fn lane_input(lane: &LaneSlot) -> LaneInput<'_> {
 /// 3. absorbs the per-lane plant steps back into the control loops.
 ///
 /// Control decisions stay strictly per-lane; only the plant integration is
-/// delegated to the engine. [`Experiment::run`] is this function over a
-/// single-lane [`ScalarEngine`] with an empty queue, [`run_lockstep`] over a
-/// [`PanelEngine`] as wide as the configuration list, and the
-/// lane-compacting [`ScenarioSweep`] over per-worker engines refilled from
-/// a shared scenario queue.
+/// delegated to the engine. There are two callers: [`Experiment::run`]
+/// drives one [`ScalarEngine`] lane with an empty queue, and `sweep_stream`
+/// (behind [`ScenarioSweep`] and [`crate::CampaignRunner`]) drives
+/// per-worker engines refilled from a shared scenario queue.
 ///
 /// Every lane's result is reported through `publish` exactly once, keyed by
 /// the slot index handed out by `next` (or pre-assigned in `lanes`);
@@ -1181,94 +1180,13 @@ fn drive_engine<E, N, P>(
     }
 }
 
-/// The plant engine a run or sweep group steps: the scalar engine for
-/// single-lane runs, the panel engine for batches.
-#[derive(Debug)]
-enum AnyEngine {
-    // Both engines are boxed so the dispatch enum stays pointer-sized: the
-    // panel engine carries whole scenario panels and dwarfs anything
-    // unboxed.
-    Scalar(Box<ScalarEngine>),
-    Panel(Box<PanelEngine>),
-}
-
-impl AnyEngine {
-    /// Builds the engine for the given lane width: scalar at one lane,
-    /// panel otherwise.
-    fn build(spec: SocSpec, params: &[PlantPowerParams], lanes: usize) -> AnyEngine {
-        if lanes == 1 {
-            AnyEngine::Scalar(Box::new(ScalarEngine::new(spec, params)))
-        } else {
-            AnyEngine::Panel(Box::new(PanelEngine::new(spec, params)))
-        }
-    }
-}
-
-/// `AnyEngine` forwards the whole plant contract to its selected backend, so
-/// the generic executor and sweep bodies stay monomorphised over one type.
-impl PlantEngine for AnyEngine {
-    fn lanes(&self) -> usize {
-        match self {
-            AnyEngine::Scalar(e) => e.lanes(),
-            AnyEngine::Panel(e) => e.lanes(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            AnyEngine::Scalar(e) => e.node_count(),
-            AnyEngine::Panel(e) => e.node_count(),
-        }
-    }
-
-    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        match self {
-            AnyEngine::Scalar(e) => e.admit(lane, params),
-            AnyEngine::Panel(e) => e.admit(lane, params),
-        }
-    }
-
-    fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        match self {
-            AnyEngine::Scalar(e) => e.step_interval(inputs, interval_s, steps),
-            AnyEngine::Panel(e) => e.step_interval(inputs, interval_s, steps),
-        }
-    }
-
-    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        match self {
-            AnyEngine::Scalar(e) => e.core_temps_c(lane),
-            AnyEngine::Panel(e) => e.core_temps_c(lane),
-        }
-    }
-
-    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        match self {
-            AnyEngine::Scalar(e) => e.node_temps_into(lane, out),
-            AnyEngine::Panel(e) => e.node_temps_into(lane, out),
-        }
-    }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        match self {
-            AnyEngine::Scalar(e) => e.energy_j(lane),
-            AnyEngine::Panel(e) => e.energy_j(lane),
-        }
-    }
-}
-
 /// The closed-loop simulation of one benchmark run: a control loop wired
 /// to the single-lane scalar engine and driven by the same generic executor
 /// as the batched and sweeping paths.
 #[derive(Debug)]
 pub struct Experiment {
     control: ControlLoop,
-    engine: AnyEngine,
+    engine: ScalarEngine,
 }
 
 impl Experiment {
@@ -1282,7 +1200,7 @@ impl Experiment {
     /// Returns [`SimError::InvalidConfig`] for non-physical timing parameters.
     pub fn new(config: &ExperimentConfig, calibration: &Calibration) -> Result<Self, SimError> {
         let control = ControlLoop::new(config, calibration, TracePolicy::Full)?;
-        let engine = AnyEngine::build(control.spec.clone(), &[config.plant], 1);
+        let engine = ScalarEngine::new(control.spec.clone(), &[config.plant]);
         Ok(Experiment { control, engine })
     }
 
@@ -1355,8 +1273,9 @@ impl Experiment {
 /// engine's ≤ 1e-9 °C equivalence bar — bit-identical for one-lane sweeps).
 ///
 /// Scenarios must share a control period to step in lockstep; a sweep over
-/// mixed periods is partitioned into per-period groups that are processed
-/// one after another, each with the full worker pool.
+/// mixed periods is partitioned into per-period groups (in order of each
+/// period's first appearance) that run one after another, each with the
+/// full worker pool. A group starts once the previous one has finished.
 ///
 /// # Example
 ///
@@ -1430,26 +1349,6 @@ impl ScenarioSweep {
         self
     }
 
-    /// The configurations in this sweep.
-    pub fn configs(&self) -> &[ExperimentConfig] {
-        &self.configs
-    }
-
-    /// The worker-thread count the sweep will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The batch width (scenarios advanced per instruction stream).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The per-run trace-retention policy [`ScenarioSweep::run_into`] uses.
-    pub fn recording(&self) -> TracePolicy {
-        self.recording
-    }
-
     /// Sets the containment policy: retry budget for panicking/overrunning
     /// scenarios and the cooperative per-cell interval deadline (default:
     /// no retries, no deadline — panic containment itself is always on).
@@ -1457,11 +1356,6 @@ impl ScenarioSweep {
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
         self.resilience = resilience;
         self
-    }
-
-    /// The containment policy the sweep will apply.
-    pub fn resilience(&self) -> ResiliencePolicy {
-        self.resilience
     }
 
     /// Runs every configuration and returns one result per configuration, in
@@ -1489,7 +1383,7 @@ impl ScenarioSweep {
              stream a TracePolicy::SummaryOnly sweep through run_into instead"
         );
         let mut sink = CollectSink::new(self.configs.len());
-        self.run_groups(calibration, self.recording, &mut sink);
+        self.run_into(calibration, &mut sink);
         sink.into_reports()
             .into_iter()
             .map(|report| report.map(RunReport::into_simulation_result))
@@ -1512,52 +1406,34 @@ impl ScenarioSweep {
     where
         S: ResultSink + Send + ?Sized,
     {
-        self.run_groups(calibration, self.recording, sink);
-    }
-
-    /// Shared body of [`ScenarioSweep::run`] / [`ScenarioSweep::run_into`]:
-    /// partition into shared-period groups and stream each group through the
-    /// lane-compacting scheduler.
-    fn run_groups<S>(&self, calibration: &Calibration, recording: TracePolicy, sink: &mut S)
-    where
-        S: ResultSink + Send + ?Sized,
-    {
-        if self.configs.is_empty() {
-            return;
-        }
         // Lockstep needs a shared control period: partition the scenario
-        // indices into per-period groups (almost always exactly one). One
-        // worker pool sweeps the groups in order, draining each group's
-        // shared queue before flowing into the next, so a sweep over many
-        // distinct periods still keeps the whole pool busy — workers that
-        // find a group's queue already drained skip ahead immediately.
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
+        // indices into per-period groups (almost always exactly one).
+        let mut groups: Vec<(f64, Vec<usize>)> = Vec::new();
         for (index, config) in self.configs.iter().enumerate() {
-            let bits = config.control_period_s.to_bits();
-            match groups.iter_mut().find(|(key, _)| *key == bits) {
+            let period_s = config.control_period_s;
+            match groups
+                .iter_mut()
+                .find(|(key, _)| key.to_bits() == period_s.to_bits())
+            {
                 Some((_, group)) => group.push(index),
-                None => groups.push((bits, vec![index])),
+                None => groups.push((period_s, vec![index])),
             }
         }
-        let group_meta: Vec<(f64, usize)> = groups
-            .iter()
-            .map(|(bits, group)| (f64::from_bits(*bits), group.len()))
-            .collect();
-        let provider = |group: usize, k: usize| -> (usize, ExperimentConfig) {
-            let slot = groups[group].1[k];
-            (slot, self.configs[slot].clone())
-        };
         let sink = std::sync::Mutex::new(sink);
-        sweep_stream(
-            self.threads,
-            self.lanes,
-            &group_meta,
-            recording,
-            &provider,
-            calibration,
-            &self.resilience,
-            &sink,
-        );
+        for (period_s, group) in &groups {
+            let provider = |k: usize| (group[k], self.configs[group[k]].clone());
+            sweep_stream(
+                self.threads,
+                self.lanes,
+                *period_s,
+                group.len(),
+                self.recording,
+                &provider,
+                calibration,
+                &self.resilience,
+                &sink,
+            );
+        }
     }
 }
 
@@ -1618,19 +1494,15 @@ impl ResultSink for () {
     fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {}
 }
 
-/// The shared streaming sweep body: `threads` workers sweep the
-/// shared-period `groups` (each a `(control period, scenario count)` pair)
-/// in order, pulling within-group indices from one
-/// atomic cursor per group
-/// and materialising each scenario through `provider(group, k)` lazily —
-/// nothing about a scenario exists before a worker claims it. Scenarios are
-/// driven through lane-compacting engines of `lanes` lanes and every report
-/// is pushed into the shared sink as its lane retires. A worker that finds
-/// a group's queue already drained flows into the next group immediately,
-/// so a multi-period sweep never idles the pool on one group's ragged tail.
-/// Both [`ScenarioSweep`] (providers indexed into its config list) and the
-/// campaign runner (a single group over the grid-cell expansion) are
-/// instantiations.
+/// The shared streaming sweep body over one lockstep group: `count`
+/// scenarios sharing the control period `period_s`. `threads` workers pull
+/// indices `k` from one atomic cursor and materialise each scenario through
+/// `provider(k)` lazily — nothing about a scenario exists before a worker
+/// claims it. Scenarios are driven through lane-compacting engines of
+/// `lanes` lanes ([`ScalarEngine`] at one lane, [`PanelEngine`] otherwise)
+/// and every report is pushed into the shared sink as its lane retires.
+/// [`ScenarioSweep`] calls it once per control period;
+/// [`crate::CampaignRunner`] calls it once over its grid cells.
 ///
 /// The sink is delivered to behind poison-recovering locking with the
 /// `accept` call itself under `catch_unwind`: a sink that panics on one
@@ -1647,14 +1519,15 @@ impl ResultSink for () {
 pub(crate) fn sweep_stream<F, S>(
     threads: usize,
     lanes: usize,
-    groups: &[(f64, usize)],
+    period_s: f64,
+    count: usize,
     recording: TracePolicy,
     provider: &F,
     calibration: &Calibration,
     policy: &ResiliencePolicy,
     sink: &std::sync::Mutex<&mut S>,
 ) where
-    F: Fn(usize, usize) -> (usize, ExperimentConfig) + Sync,
+    F: Fn(usize) -> (usize, ExperimentConfig) + Sync,
     S: ResultSink + Send + ?Sized,
 {
     /// A retryably-failed scenario awaiting re-admission: its result slot,
@@ -1666,21 +1539,9 @@ pub(crate) fn sweep_stream<F, S>(
         attempt: u32,
     }
 
-    let total: usize = groups.iter().map(|(_, count)| count).sum();
-    if total == 0 {
-        return;
-    }
-    let cursors: Vec<std::sync::atomic::AtomicUsize> = groups
-        .iter()
-        .map(|_| std::sync::atomic::AtomicUsize::new(0))
-        .collect();
-    // Per-group retry queues (retries must re-run inside their own lockstep
-    // group: the engine's period is a group property). Empty
-    // and untouched when the policy's retry budget is zero.
-    let retries: Vec<std::sync::Mutex<Vec<RetryEntry>>> = groups
-        .iter()
-        .map(|_| std::sync::Mutex::new(Vec::new()))
-        .collect();
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    // Empty and untouched when the policy's retry budget is zero.
+    let retries = std::sync::Mutex::new(Vec::<RetryEntry>::new());
     /// Retired results a worker buffers before taking the sink lock:
     /// batching amortises the mutex handoff across deliveries, so a wide
     /// pool of fast cells no longer serialises on the sink. Small enough
@@ -1748,108 +1609,104 @@ pub(crate) fn sweep_stream<F, S>(
             usize,
             (ExperimentConfig, u32),
         >::new());
-        for (group, (&(period_s, count), cursor)) in groups.iter().zip(&cursors).enumerate() {
-            // Keep draining this group while retry work reappears: any
-            // worker that enqueues a retry re-checks its own queue after
-            // its engine drains, so no entry is ever orphaned.
-            loop {
-                // Pulls the next admissible scenario — retries first, then
-                // the group's shared cursor — publishing construction
-                // failures in place.
-                let mut next = || loop {
-                    if policy.max_retries > 0 {
-                        let entry = retries[group]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop();
-                        if let Some(RetryEntry {
-                            slot,
-                            mut config,
-                            attempt,
-                        }) = entry
-                        {
-                            if let Some(chaos) = config.chaos.as_mut() {
-                                chaos.attempt = attempt;
-                            }
-                            match ControlLoop::new(&config, calibration, recording) {
-                                Ok(control) => {
-                                    in_flight.borrow_mut().insert(slot, (config, attempt));
-                                    return Some((slot, control));
-                                }
-                                Err(e) => {
-                                    deliver(slot, Err(e));
-                                    continue;
-                                }
-                            }
-                        }
+        // Pulls the next admissible scenario — retries first, then the
+        // shared cursor — publishing construction failures in place.
+        let mut next = || loop {
+            if policy.max_retries > 0 {
+                let entry = retries
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .pop();
+                if let Some(RetryEntry {
+                    slot,
+                    mut config,
+                    attempt,
+                }) = entry
+                {
+                    if let Some(chaos) = config.chaos.as_mut() {
+                        chaos.attempt = attempt;
                     }
-                    let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= count {
-                        return None;
-                    }
-                    let (slot, config) = provider(group, k);
                     match ControlLoop::new(&config, calibration, recording) {
                         Ok(control) => {
-                            if policy.max_retries > 0 {
-                                in_flight.borrow_mut().insert(slot, (config, 0));
-                            }
+                            in_flight.borrow_mut().insert(slot, (config, attempt));
                             return Some((slot, control));
                         }
-                        Err(e) => deliver(slot, Err(e)),
-                    }
-                };
-                // Routes a retired result: retryable failures with budget
-                // left go back on the group's retry queue (the cell is
-                // re-derived from its config — deterministic, seed-stable);
-                // everything else is final and delivered.
-                let mut publish = |slot: usize, result: Result<RunReport, SimError>| {
-                    if policy.max_retries > 0 {
-                        let entry = in_flight.borrow_mut().remove(&slot);
-                        if let Err(error) = &result {
-                            if let Some((config, attempt)) = entry {
-                                if ResiliencePolicy::is_retryable(error)
-                                    && attempt < policy.max_retries
-                                {
-                                    retries[group]
-                                        .lock()
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                        .push(RetryEntry {
-                                            slot,
-                                            config,
-                                            attempt: attempt + 1,
-                                        });
-                                    return;
-                                }
-                            }
+                        Err(e) => {
+                            deliver(slot, Err(e));
+                            continue;
                         }
                     }
-                    deliver(slot, result);
-                };
-
-                // Claim the initial lane-group; the engine is sized to what
-                // the queue could actually provide, so a near-empty queue
-                // never creates idle-from-birth lanes, and a drained queue
-                // lets the worker flow straight into the next group.
-                let mut claimed = Vec::with_capacity(lanes);
-                while claimed.len() < lanes {
-                    match next() {
-                        Some(admitted) => claimed.push(admitted),
-                        None => break,
+                }
+            }
+            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if k >= count {
+                return None;
+            }
+            let (slot, config) = provider(k);
+            match ControlLoop::new(&config, calibration, recording) {
+                Ok(control) => {
+                    if policy.max_retries > 0 {
+                        in_flight.borrow_mut().insert(slot, (config, 0));
+                    }
+                    return Some((slot, control));
+                }
+                Err(e) => deliver(slot, Err(e)),
+            }
+        };
+        // Routes a retired result: retryable failures with budget left go
+        // back on the retry queue (the cell is re-derived from its config —
+        // deterministic, seed-stable); everything else is final and
+        // delivered.
+        let mut publish = |slot: usize, result: Result<RunReport, SimError>| {
+            if policy.max_retries > 0 {
+                let entry = in_flight.borrow_mut().remove(&slot);
+                if let (Err(error), Some((config, attempt))) = (&result, entry) {
+                    if ResiliencePolicy::is_retryable(error) && attempt < policy.max_retries {
+                        retries
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner)
+                            .push(RetryEntry {
+                                slot,
+                                config,
+                                attempt: attempt + 1,
+                            });
+                        return;
                     }
                 }
-                if claimed.is_empty() {
-                    break;
+            }
+            deliver(slot, result);
+        };
+        // Keep draining while retry work reappears: any worker that enqueues
+        // a retry re-checks the queue after its engine drains, so no entry is
+        // ever orphaned.
+        loop {
+            // Claim the initial lane-group; the engine is sized to what the
+            // queue could actually provide, so a near-empty queue never
+            // creates idle-from-birth lanes.
+            let mut claimed = Vec::with_capacity(lanes);
+            while claimed.len() < lanes {
+                match next() {
+                    Some(admitted) => claimed.push(admitted),
+                    None => break,
                 }
-                let spec = SocSpec::odroid_xu_e();
-                let params: Vec<PlantPowerParams> = claimed
-                    .iter()
-                    .map(|(_, control)| control.config.plant)
-                    .collect();
-                let mut lane_slots: Vec<LaneSlot> = claimed
-                    .into_iter()
-                    .map(|(slot, control)| LaneSlot::holding(slot, control))
-                    .collect();
-                let mut engine = AnyEngine::build(spec, &params, lanes);
+            }
+            if claimed.is_empty() {
+                break;
+            }
+            let spec = SocSpec::odroid_xu_e();
+            let params: Vec<PlantPowerParams> = claimed
+                .iter()
+                .map(|(_, control)| control.config.plant)
+                .collect();
+            let mut lane_slots: Vec<LaneSlot> = claimed
+                .into_iter()
+                .map(|(slot, control)| LaneSlot::holding(slot, control))
+                .collect();
+            // The one engine choice, keyed on the configured width (not on
+            // how many scenarios were claimed): scalar at one lane, panel
+            // otherwise.
+            if lanes == 1 {
+                let mut engine = ScalarEngine::new(spec, &params);
                 drive_engine(
                     &mut engine,
                     period_s,
@@ -1858,16 +1715,26 @@ pub(crate) fn sweep_stream<F, S>(
                     &mut next,
                     &mut publish,
                 );
-                if policy.max_retries == 0 {
-                    break;
-                }
+            } else {
+                let mut engine = PanelEngine::new(spec, &params);
+                drive_engine(
+                    &mut engine,
+                    period_s,
+                    &mut lane_slots,
+                    policy,
+                    &mut next,
+                    &mut publish,
+                );
+            }
+            if policy.max_retries == 0 {
+                break;
             }
         }
         // Everything this worker retired reaches the sink before the worker
         // (and therefore the sweep) returns.
         flush();
     };
-    let pool = threads.min(total).max(1);
+    let pool = threads.min(count).max(1);
     if pool == 1 {
         worker();
     } else {
@@ -1877,82 +1744,4 @@ pub(crate) fn sweep_stream<F, S>(
             }
         });
     }
-}
-
-fn run_one(
-    config: &ExperimentConfig,
-    calibration: &Calibration,
-) -> Result<SimulationResult, SimError> {
-    Experiment::new(config, calibration)?.run()
-}
-
-/// Runs the given configurations in lockstep on one [`PanelEngine`]: each
-/// scenario keeps its own control loop (sensors, governors, policy, trace —
-/// decisions stay strictly per-lane) while the plant integration advances all
-/// lanes per instruction stream, one scenario per panel column. The stepping
-/// logic itself is the shared `drive_engine` executor — the same code that
-/// runs a scalar [`Experiment`] — instantiated over the batched engine with
-/// as many lanes as configurations.
-///
-/// Results come back in input order; individual failures do not abort the
-/// batch. Scenarios finishing early stay in the batch as frozen lanes until
-/// the slowest lane completes (a [`ScenarioSweep`] avoids that tail by
-/// refilling freed lanes from its scenario queue). All configurations must
-/// share one `control_period_s`; mixed periods cannot step on one engine and
-/// fall back to scalar per-scenario runs.
-pub fn run_lockstep(
-    configs: &[ExperimentConfig],
-    calibration: &Calibration,
-) -> Vec<Result<SimulationResult, SimError>> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let period_s = configs[0].control_period_s;
-    if configs
-        .iter()
-        .any(|config| config.control_period_s != period_s)
-    {
-        return configs
-            .iter()
-            .map(|config| run_one(config, calibration))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<Result<RunReport, SimError>>> =
-        (0..configs.len()).map(|_| None).collect();
-    let mut lanes: Vec<LaneSlot> = Vec::new();
-    let mut lane_params = Vec::new();
-    for (slot, config) in configs.iter().enumerate() {
-        match ControlLoop::new(config, calibration, TracePolicy::Full) {
-            Ok(control) => {
-                lanes.push(LaneSlot::holding(slot, control));
-                lane_params.push(config.plant);
-            }
-            Err(e) => slots[slot] = Some(Err(e)),
-        }
-    }
-
-    if !lanes.is_empty() {
-        // Lockstep runs the panel engine even for a single configuration.
-        let mut engine = AnyEngine::Panel(Box::new(PanelEngine::new(
-            SocSpec::odroid_xu_e(),
-            &lane_params,
-        )));
-        drive_engine(
-            &mut engine,
-            period_s,
-            &mut lanes,
-            &ResiliencePolicy::default(),
-            &mut || None,
-            &mut |slot, result| slots[slot] = Some(result),
-        );
-    }
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.expect("every lockstep slot is filled")
-                .map(RunReport::into_simulation_result)
-        })
-        .collect()
 }

@@ -114,9 +114,9 @@
 //!   ([`thermal_model::BatchStepTransition`]), loading the 8×8 transition
 //!   matrices once for all lanes.
 //!
-//! Control decisions stay per-lane ([`experiment::run_lockstep`] drives one
-//! control loop per scenario against the shared batch plant), so batched and
-//! scalar runs agree: the integrator is bit-identical, and full trajectories
+//! Control decisions stay per-lane (a [`ScenarioSweep`] with more than one
+//! lane drives one control loop per scenario against the shared batch
+//! plant), so batched and scalar runs agree: the integrator is bit-identical, and full trajectories
 //! match within 1e-9 °C (proven by `tests/equivalence.rs`). Batched stepping
 //! applies when scenarios share the control period; lanes may carry any mix
 //! of fan levels and ambients (mixed-ambient batches share the matrices and
@@ -143,10 +143,13 @@
 //! control-loop executor over the [`engine::PlantEngine`] trait: per control
 //! interval it retires finished scenarios, admits queued ones into the freed
 //! lanes, lets every live lane decide, steps the engine once with per-lane
-//! inputs, and absorbs the per-lane results. [`Experiment::run`] is the
-//! executor over a one-lane [`engine::ScalarEngine`];
-//! [`experiment::run_lockstep`] is the executor over an
-//! [`engine::PanelEngine`] as wide as the configuration list. There is no
+//! inputs, and absorbs the per-lane results. Scenarios reach it one of two
+//! ways. [`Experiment::run`] drives one scenario on a one-lane
+//! [`engine::ScalarEngine`]. Every batch — a [`ScenarioSweep`] or a
+//! [`CampaignRunner`] — goes through one streaming sweep body, whose
+//! workers each drive a [`engine::ScalarEngine`] at one lane and an
+//! [`engine::PanelEngine`] otherwise; a lockstep batch of K configurations
+//! is a one-thread, K-lane [`ScenarioSweep`]. There is no
 //! scalar-vs-batched fork in the stepping logic, and a future device backend
 //! (GPU panels for calibration-scale sweeps) only has to implement the trait
 //! — the per-step math it needs is already exposed by
@@ -278,7 +281,7 @@ pub use distributed::{
 pub use engine::{EnginePrecision, LaneInput, PanelEngine, PlantEngine, ScalarEngine};
 pub use error::SimError;
 pub use experiment::{
-    run_lockstep, CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
+    CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
     ScenarioSweep, SimulationResult,
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};

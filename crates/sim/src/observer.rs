@@ -39,8 +39,8 @@ use crate::trace::{Trace, TraceRecord};
 /// Per-run streaming observation: one callback per absorbed control interval,
 /// one at retirement.
 ///
-/// Driven by the control-loop executor ([`crate::Experiment`], the lockstep
-/// runner and every sweep/campaign path — they all share one executor): after
+/// Driven by the control-loop executor ([`crate::Experiment`] and every
+/// sweep/campaign path — they all share one executor): after
 /// a lane absorbs an interval, its observer sees the interval's
 /// [`TraceRecord`]; when the lane retires its scenario, [`RunObserver::finish`]
 /// hands back whatever trajectory the observer retained.

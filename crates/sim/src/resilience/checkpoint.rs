@@ -120,7 +120,9 @@ impl CampaignCheckpoint {
     /// Writes the checkpoint to `path` atomically: the
     /// [`encode_checkpoint`] blob goes to a sibling temp file, is synced,
     /// and is renamed over `path` — a kill at any instant leaves either the
-    /// old checkpoint or the new one, never a torn file.
+    /// old checkpoint or the new one, never a torn file. On Unix the parent
+    /// directory is synced after the rename, so a power loss cannot undo
+    /// the rename either.
     ///
     /// # Errors
     ///
@@ -135,6 +137,14 @@ impl CampaignCheckpoint {
             file.sync_all()?;
         }
         fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let parent = match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            fs::File::open(parent)?.sync_all()?;
+        }
         Ok(())
     }
 
@@ -326,6 +336,19 @@ mod tests {
         assert_eq!(loaded, checkpoint);
         assert_eq!(encode_checkpoint(&loaded), on_disk);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bare_file_name_is_written_into_the_working_directory() {
+        // `Path::parent` of a bare name is empty: the directory synced after
+        // the rename is then `.`.
+        let name = format!("dtpm-checkpoint-{}.bin", std::process::id());
+        let checkpoint = CampaignCheckpoint::new(7, 3);
+        let written = checkpoint.write_atomic(Path::new(&name));
+        let loaded = CampaignCheckpoint::load(Path::new(&name));
+        std::fs::remove_file(&name).ok();
+        written.expect("write");
+        assert_eq!(loaded.expect("load"), checkpoint);
     }
 
     #[test]

@@ -19,9 +19,9 @@ use std::collections::HashSet;
 
 use platform_sim::plant::PlantStep;
 use platform_sim::{
-    run_lockstep, splitmix64, BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig,
-    ExperimentKind, LaneInput, NaivePhysicalPlant, PanelEngine, PhysicalPlant, PlantEngine,
-    PlantPowerParams, ScenarioSweep,
+    splitmix64, BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind,
+    LaneInput, NaivePhysicalPlant, PanelEngine, PhysicalPlant, PlantEngine, PlantPowerParams,
+    ScenarioSweep,
 };
 use proptest::prelude::*;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};
@@ -147,10 +147,9 @@ fn scenario_sweep_matches_sequential_runs() {
     })
     .collect();
 
-    let sweep = ScenarioSweep::new(configs.clone()).with_threads(4);
-    assert!(sweep.threads() >= 1);
-    assert_eq!(sweep.configs().len(), configs.len());
-    let parallel = sweep.run(&calibration);
+    let parallel = ScenarioSweep::new(configs.clone())
+        .with_threads(4)
+        .run(&calibration);
 
     for (config, result) in configs.iter().zip(parallel) {
         let sequential = Experiment::new(config, &calibration)
@@ -498,7 +497,11 @@ fn lockstep_runner_matches_scalar_experiments() {
     })
     .collect();
 
-    let lockstep = run_lockstep(&configs, &calibration);
+    // A lockstep batch: one thread, one panel engine as wide as the list.
+    let lockstep = ScenarioSweep::new(configs.clone())
+        .with_threads(1)
+        .with_lanes(configs.len())
+        .run(&calibration);
     assert_eq!(lockstep.len(), configs.len());
     for (config, result) in configs.iter().zip(lockstep) {
         let result = result.expect("lockstep run must succeed");
@@ -528,27 +531,6 @@ fn lockstep_runner_matches_scalar_experiments() {
             sequential.mean_platform_power_w
         );
     }
-}
-
-#[test]
-fn lockstep_runner_falls_back_for_mixed_control_periods() {
-    let campaign = CalibrationCampaign {
-        prbs_duration_s: 120.0,
-        run_furnace: false,
-        ..CalibrationCampaign::default()
-    };
-    let calibration = campaign.run(5).unwrap();
-
-    let mut fast = ExperimentConfig::new(ExperimentKind::WithoutFan, BenchmarkId::Crc32);
-    fast.max_duration_s = 5.0;
-    let mut slow = fast.clone();
-    slow.control_period_s = 0.2;
-    let results = run_lockstep(&[fast.clone(), slow.clone()], &calibration);
-    assert_eq!(results.len(), 2);
-    let a = results[0].as_ref().expect("fast config runs");
-    let b = results[1].as_ref().expect("slow config runs");
-    assert_eq!(a.config, fast);
-    assert_eq!(b.config, slow);
 }
 
 fn sweep_calibration() -> &'static platform_sim::Calibration {

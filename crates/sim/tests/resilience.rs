@@ -522,6 +522,41 @@ fn a_transient_panic_is_retried_deterministically_and_heals() {
         .run()
         .expect("clean run");
     assert_summaries_close(&healed.summary, &RunSummary::of(&reference), "healed retry");
+
+    // Mixed periods: a sweep runs one lockstep group per control period, and
+    // the retry of the healing cell (in the 0.2 s group) must re-run inside
+    // that group. Its healed summary then matches a clean solo run at 0.2 s
+    // — a retry stepped at the 0.1 s period would differ in interval count.
+    let mut clean = sibling_configs();
+    for config in clean.iter_mut().skip(1).step_by(2) {
+        config.control_period_s = 0.2;
+    }
+    let mut configs = clean.clone();
+    configs[3] = configs[3]
+        .clone()
+        .with_chaos(ChaosPlan::panic_at(4).healing_after(1));
+    let mut sink = CollectSink::new(configs.len());
+    ScenarioSweep::new(configs)
+        .with_threads(2)
+        .with_recording(TracePolicy::SummaryOnly)
+        .with_resilience(ResiliencePolicy::default().with_max_retries(2))
+        .run_into(calibration(), &mut sink);
+    for (slot, (report, config)) in sink.into_reports().iter().zip(&clean).enumerate() {
+        let report = report.as_ref().expect("every mixed-period cell completes");
+        assert_eq!(
+            report.summary.config.control_period_s, config.control_period_s,
+            "slot {slot} ran at its own period"
+        );
+        let reference = Experiment::new(config, calibration())
+            .expect("clean experiment")
+            .run()
+            .expect("clean run");
+        assert_summaries_close(
+            &report.summary,
+            &RunSummary::of(&reference),
+            &format!("mixed-period slot {slot}"),
+        );
+    }
 }
 
 #[test]
